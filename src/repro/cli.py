@@ -226,6 +226,21 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_batching_options(parser: argparse.ArgumentParser) -> None:
+    """The micro-batching flags; defaults are :class:`ServeConfig`'s."""
+    parser.add_argument(
+        "--max-batch", type=_positive_int,
+        default=ServeConfig.max_batch_size,
+        help="max requests coalesced into one engine run",
+    )
+    parser.add_argument(
+        "--max-wait-ms", type=float, default=ServeConfig.max_wait_ms,
+        help="longest a request waits for its batch to fill: a "
+        "non-full batch is dispatched at this deadline, or as soon "
+        "as a worker is free",
+    )
+
+
 def _engine_options(
     args: argparse.Namespace, engine: str, *, strict: bool = True
 ) -> Optional[dict]:
@@ -1651,14 +1666,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=_positive_int, default=2,
         help="engine workers in the serving pool",
     )
-    p_serve.add_argument(
-        "--max-batch", type=_positive_int, default=32,
-        help="max requests coalesced into one engine run",
-    )
-    p_serve.add_argument(
-        "--max-wait-ms", type=float, default=1.0,
-        help="micro-batching deadline for a non-full batch",
-    )
+    _add_batching_options(p_serve)
     p_serve.add_argument(
         "--placement", choices=PLACEMENTS, default="round_robin",
         help="worker placement policy",
@@ -1735,14 +1743,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--placement", choices=PLACEMENTS, default="round_robin",
             help="worker placement policy",
         )
-        p.add_argument(
-            "--max-batch", type=_positive_int, default=32,
-            help="max requests coalesced into one engine run",
-        )
-        p.add_argument(
-            "--max-wait-ms", type=float, default=1.0,
-            help="micro-batching deadline for a non-full batch",
-        )
+        _add_batching_options(p)
         p.add_argument(
             "--deadline-ms", type=float, default=None,
             help="default per-request deadline: requests the node "

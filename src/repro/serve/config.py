@@ -44,7 +44,10 @@ class ServeConfig:
             engine's ``rowwise_min_words=``, ...).
         num_workers: parallel engine instances in the worker pool.
         max_batch_size: requests coalesced into one engine run.
-        max_wait_ms: micro-batching deadline for a non-full batch.
+        max_wait_ms: longest a queued request waits for its batch to
+            fill: a non-full batch is dispatched at this deadline, or
+            as soon as a worker is free (the scheduler holds requests
+            back only while all ``num_workers`` are busy).
         default_deadline_ms: request deadline applied when a caller
             does not send its own: a request still queued when its
             budget runs out is shed with a typed

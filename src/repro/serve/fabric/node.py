@@ -57,6 +57,7 @@ from ...core.codegen import Program
 from ...core.config import LPUConfig
 from ...netlist.graph import LogicGraph
 from ..config import ServeConfig
+from ..scheduler import DeadlineExceeded
 from .admission import AdmissionController
 from .httpio import (
     HTTPProtocolError,
@@ -75,6 +76,11 @@ from .wire import (
 )
 
 __all__ = ["FabricConfig", "FabricNode"]
+
+#: how long a stopping node waits for its open connections' handlers to
+#: finish (an in-flight reply, the close handshake) before the loop
+#: teardown cancels whatever is left.
+_HANDLER_GRACE_S = 5.0
 
 
 @dataclass(frozen=True)
@@ -158,6 +164,8 @@ class FabricNode:
         self._thread: Optional[threading.Thread] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._shutdown: Optional[asyncio.Event] = None
+        #: live connection handlers -> their writers (loop thread only).
+        self._connections: Dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._ready = threading.Event()
         self._startup_error: Optional[BaseException] = None
 
@@ -216,10 +224,27 @@ class FabricNode:
         self.port = listener.sockets[0].getsockname()[1]
         self._ready.set()
         try:
-            async with listener:
-                await self._shutdown.wait()
+            await self._shutdown.wait()
         finally:
+            listener.close()  # no new connections from here on
+            await self._finish_connections()
+            await listener.wait_closed()
             self.port = None
+
+    async def _finish_connections(self) -> None:
+        """Close every open connection and let its handler run to the
+        end.  Left to ``asyncio.run``'s teardown instead, a handler is
+        cancelled inside ``writer.wait_closed()`` and the loop logs an
+        "Exception in callback ... CancelledError" per connection."""
+        if not self._connections:
+            return
+        for writer in self._connections.values():
+            # An idle keep-alive handler reads EOF and exits; one
+            # mid-request finishes, fails its write and exits.
+            writer.close()
+        await asyncio.wait(
+            list(self._connections), timeout=_HANDLER_GRACE_S
+        )
 
     def drain(self, *, timeout: float = 30.0) -> None:
         """Graceful shutdown: stop admitting, finish in-flight work,
@@ -275,6 +300,8 @@ class FabricNode:
     ) -> None:
         peer = writer.get_extra_info("peername")
         peer_id = f"{peer[0]}:{peer[1]}" if peer else "unknown"
+        handler = asyncio.current_task()
+        self._connections[handler] = writer
         try:
             while True:
                 try:
@@ -309,6 +336,8 @@ class FabricNode:
                 await writer.wait_closed()
             except (ConnectionError, OSError):  # pragma: no cover
                 pass
+            finally:
+                self._connections.pop(handler, None)
 
     async def _dispatch(
         self, request: Request, peer_id: str
@@ -378,8 +407,6 @@ class FabricNode:
                 headers={"Retry-After": "0.010"},
             )
         try:
-            from ..scheduler import DeadlineExceeded
-
             binary = request.content_type.startswith(BINARY_CONTENT_TYPE)
             try:
                 if binary:

@@ -78,12 +78,19 @@ def _word_matrix(
     arrays = []
     words = None
     for name in names:
-        array = np.atleast_1d(np.asarray(values[name], dtype=np.uint64))
-        if array.ndim != 1:
-            raise WireError(
-                f"signal {name!r} must be a flat word array, "
-                f"got shape {array.shape}"
-            )
+        array = values[name]
+        # Hot path: engine inputs and outputs are flat uint64 already.
+        if (
+            type(array) is not np.ndarray
+            or array.dtype != np.uint64
+            or array.ndim != 1
+        ):
+            array = np.atleast_1d(np.asarray(array, dtype=np.uint64))
+            if array.ndim != 1:
+                raise WireError(
+                    f"signal {name!r} must be a flat word array, "
+                    f"got shape {array.shape}"
+                )
         if words is None:
             words = array.size
         elif array.size != words:
@@ -94,7 +101,8 @@ def _word_matrix(
         arrays.append(array)
     if words is None:
         raise WireError("a frame needs at least one signal")
-    return np.stack(arrays), words
+    # Equal-length flat rows: one C-level concatenate is the stack.
+    return np.concatenate(arrays).reshape(len(arrays), words), words
 
 
 def _pack(magic: bytes, header: Dict[str, object],
@@ -148,13 +156,11 @@ def _split_payload(
             f"{kind} payload carries {payload.size} words, header "
             f"promises {len(names)} x {words}"
         )
-    matrix = payload.reshape(len(names), words)
-    values = {}
-    for i, name in enumerate(names):
-        row = matrix[i].copy()
-        row.setflags(write=False)
-        values[name] = row
-    return values, words
+    # One aligned copy off the frame buffer; the per-signal arrays are
+    # its rows (views inherit the read-only flag).
+    matrix = payload.reshape(len(names), words).copy()
+    matrix.setflags(write=False)
+    return dict(zip(names, matrix)), words
 
 
 # ----------------------------------------------------------------------

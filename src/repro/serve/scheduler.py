@@ -13,8 +13,14 @@ instead of once per request.
 Policy invariants (property-tested in ``tests/test_serve.py``):
 
 * a batch never exceeds ``max_batch_size`` requests,
+* the policy is **work-conserving**: the scheduler counts the batches it
+  has dispatched that have not completed (``in_flight``) against the
+  number the dispatch target can run at once (``slots``) and releases
+  whatever is queued the moment ``in_flight < slots`` — a request waits
+  for batch-mates only while every worker is busy,
 * a request never waits longer than ``max_wait_ms`` for its batch to fill —
-  a partial batch is dispatched at the deadline,
+  a partial batch is dispatched at the deadline, or as soon as a worker
+  is free (a batch completion wakes the scheduler),
 * per-request results (outputs AND statistics) are bit-identical to a
   direct :meth:`~repro.engine.session.Session.run` of that request,
 * a request submitted with a **deadline** is shed with a typed
@@ -39,6 +45,7 @@ from ..lpu.simulator import SimulationResult
 __all__ = [
     "BatchScheduler",
     "DeadlineExceeded",
+    "RELEASE_TRIGGERS",
     "SchedulerStats",
     "WAIT_BUCKETS_MS",
 ]
@@ -76,6 +83,12 @@ WAIT_BUCKETS_MS = (
     float("inf"),
 )
 
+#: why a batch left the queue, in the order the policy tests them: it
+#: was ``full``, a dispatch slot was free (``slot_free``), its head had
+#: waited out ``max_wait_ms`` with every slot busy (``deadline``), or
+#: the scheduler was draining (``closing``).
+RELEASE_TRIGGERS = ("full", "slot_free", "deadline", "closing")
+
 
 @dataclass
 class SchedulerStats:
@@ -87,6 +100,12 @@ class SchedulerStats:
     max_batch: int = 0
     #: requests shed with :class:`DeadlineExceeded` before dispatch.
     expired: int = 0
+    #: batches dispatched and not yet completed (the occupied slots).
+    in_flight: int = 0
+    #: dispatched batches by what released them from the queue.
+    released: Dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(RELEASE_TRIGGERS, 0)
+    )
     total_wait_s: float = 0.0
     max_wait_s: float = 0.0
     #: (requests, words, head-of-line wait seconds) of recent batches.
@@ -141,6 +160,8 @@ class SchedulerStats:
             "requests": self.requests,
             "expired": self.expired,
             "batches": self.batches,
+            "in_flight": self.in_flight,
+            "released": dict(self.released),
             "mean_batch": self.mean_batch,
             "max_batch": self.max_batch,
             "max_wait_ms": self.max_wait_s * 1e3,
@@ -178,9 +199,16 @@ class BatchScheduler:
             :class:`SimulationResult` directly or a Future of it.
         max_batch_size: maximum requests coalesced into one dispatch.
         max_wait_ms: maximum time the head-of-line request waits for its
-            batch to fill before a partial batch is dispatched.
+            batch to fill before a partial batch is dispatched.  An
+            upper bound, not a fixed delay: the batch goes as soon as a
+            dispatch slot is free.
         pi_names: when given, every request is validated against this
             primary-input set at submit time (fail fast, not at dispatch).
+        slots: batches the dispatch target can run at once (a worker
+            pool's ``num_workers``; 1 for a synchronous callable, which
+            runs on the scheduler thread itself).  Requests wait for
+            batch-mates only while this many dispatched batches are
+            still in flight.
     """
 
     def __init__(
@@ -190,14 +218,18 @@ class BatchScheduler:
         max_batch_size: int = 32,
         max_wait_ms: float = 2.0,
         pi_names: Optional[FrozenSet[str]] = None,
+        slots: int = 1,
     ) -> None:
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
         if max_wait_ms < 0:
             raise ValueError("max_wait_ms must be >= 0")
+        if slots < 1:
+            raise ValueError("slots must be >= 1")
         self._dispatch_fn = dispatch
         self.max_batch_size = max_batch_size
         self.max_wait_s = max_wait_ms / 1e3
+        self.slots = slots
         self.pi_names = frozenset(pi_names) if pi_names is not None else None
         self.stats = SchedulerStats()
         self._queue: Deque[_Request] = deque()
@@ -300,10 +332,10 @@ class BatchScheduler:
     # ------------------------------------------------------------------
     def _loop(self) -> None:
         while True:
-            batch = self._collect()
+            batch, trigger = self._collect()
             if not batch:
                 return  # closed and drained
-            self._dispatch(batch)
+            self._dispatch(batch, trigger)
 
     def _expired(self, request: _Request, now: float) -> bool:
         return request.deadline is not None and now >= request.deadline
@@ -328,15 +360,38 @@ class BatchScheduler:
             for request in expired:
                 self._shed(request, now)
 
-    def _collect(self) -> List[_Request]:
-        """Block until a batch is ready under the size/deadline policy,
-        shedding expired requests the moment the scheduler observes
-        them (never more than one wake-up past their deadline)."""
+    def _release_trigger(
+        self, now: float, fill_deadline: float
+    ) -> Optional[str]:
+        """Why a non-full batch leaves the queue now (``None``: keep
+        filling).  Lock held."""
+        if self.stats.in_flight < self.slots:
+            return "slot_free"
+        if now >= fill_deadline:
+            return "deadline"
+        if self._closed:
+            return "closing"
+        return None
+
+    def _release_slot(self) -> None:
+        """A dispatched batch is over (result, failure, or a dispatch
+        that raised): free its slot and wake the collector, which may
+        be holding a partial batch for exactly this."""
+        with self._cond:
+            self.stats.in_flight -= 1
+            self._cond.notify_all()
+
+    def _collect(self) -> Tuple[List[_Request], str]:
+        """Block until a batch is ready under the work-conserving
+        size/deadline policy — returned with what released it, one of
+        :data:`RELEASE_TRIGGERS` — shedding expired requests the moment
+        the scheduler observes them (never more than one wake-up past
+        their deadline)."""
         with self._cond:
             while True:
                 while not self._queue:
                     if self._closed:
-                        return []
+                        return [], "closing"
                     self._cond.wait()
                 now = time.monotonic()
                 batch: List[_Request] = []
@@ -361,11 +416,14 @@ class BatchScheduler:
                     self._shed_members(batch, now)
                     if not batch:
                         break
-                    if self._closed or now >= fill_deadline:
+                    trigger = self._release_trigger(now, fill_deadline)
+                    if trigger is not None:
                         break
-                    # Wake at whichever comes first: the batch-fill
-                    # deadline or the earliest member request deadline
-                    # (so an expiring member is shed on time instead of
+                    # Every slot is busy: keep filling.  Wake at
+                    # whichever comes first: a submit or a batch
+                    # completion (both notify), the batch-fill deadline,
+                    # or the earliest member request deadline (so an
+                    # expiring member is shed on time instead of
                     # waiting out the fill).
                     wake = fill_deadline
                     for request in batch:
@@ -377,13 +435,15 @@ class BatchScheduler:
                     remaining = wake - now
                     if remaining > 0:
                         self._cond.wait(timeout=remaining)
+                else:
+                    trigger = "full"
                 if batch:
                     self._shed_members(batch, time.monotonic())
                 if batch:
-                    return batch
+                    return batch, trigger
                 # every member expired while filling; collect afresh
 
-    def _dispatch(self, batch: List[_Request]) -> None:
+    def _dispatch(self, batch: List[_Request], trigger: str) -> None:
         live = [r for r in batch if r.future.set_running_or_notify_cancel()]
         # Last line of defense for the shed-before-dispatch invariant:
         # anything that expired between collection and here fails typed
@@ -427,6 +487,9 @@ class BatchScheduler:
         self.stats.max_wait_s = max(self.stats.max_wait_s, waited)
         self.stats.recent.append((len(live), words, waited))
         self.stats.record_waits([now - r.enqueued for r in live])
+        self.stats.released[trigger] += 1
+        with self._cond:
+            self.stats.in_flight += 1
         try:
             if len(live) == 1:
                 single = live[0]
@@ -445,19 +508,26 @@ class BatchScheduler:
                 }
             outcome = self._dispatch_fn(coalesced)
         except Exception as exc:  # noqa: BLE001 - fan the failure out
+            self._release_slot()
             for request in live:
                 request.future.set_exception(exc)
             return
         if isinstance(outcome, Future):
+            # A pool's future resolves once however many times the batch
+            # was re-placed after worker deaths, so the slot is too.
             outcome.add_done_callback(
                 lambda done: self._scatter_future(live, done)
             )
         else:
+            self._release_slot()
             self._scatter(live, outcome)
 
     def _scatter_future(
         self, live: List[_Request], done: "Future[SimulationResult]"
     ) -> None:
+        # Slot first: the worker is free the moment its batch resolves,
+        # before the per-request results are split out.
+        self._release_slot()
         exc = done.exception()
         if exc is not None:
             for request in live:

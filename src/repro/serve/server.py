@@ -24,7 +24,9 @@ deprecation shim that warns once per process.
 
 from __future__ import annotations
 
+import time
 from concurrent.futures import Future
+from concurrent.futures import TimeoutError as FutureTimeoutError
 from typing import Dict, Iterable, List, Optional, Union
 
 import numpy as np
@@ -36,7 +38,7 @@ from ..lpu.simulator import SimulationResult
 from ..netlist.graph import LogicGraph
 from .config import ServeConfig, resolve_serving
 from .pool import WorkerPool
-from .scheduler import BatchScheduler
+from .scheduler import BatchScheduler, DeadlineExceeded
 
 __all__ = ["InferenceServer", "naive_serve", "serve"]
 
@@ -120,6 +122,9 @@ class InferenceServer:
             max_batch_size=serving.max_batch_size,
             max_wait_ms=serving.max_wait_ms,
             pi_names=pi_names,
+            # Work-conserving batching: a request waits for batch-mates
+            # only while this many batches are already in flight.
+            slots=self.pool.num_workers,
         )
         self._closed = False
 
@@ -168,21 +173,16 @@ class InferenceServer:
         raises :class:`~repro.serve.scheduler.DeadlineExceeded` instead
         of blocking the caller on a wedged worker forever.
         """
-        import concurrent.futures
-        import time as _time
-
-        from .scheduler import DeadlineExceeded
-
         effective = self.effective_deadline_ms(deadline_ms)
-        started = _time.monotonic()
+        started = time.monotonic()
         future = self.submit(inputs, deadline_ms=effective)
         if effective is None:
             return future.result()
         try:
             return future.result(timeout=effective / 1e3)
-        except concurrent.futures.TimeoutError:
+        except FutureTimeoutError:
             raise DeadlineExceeded(
-                effective, (_time.monotonic() - started) * 1e3
+                effective, (time.monotonic() - started) * 1e3
             ) from None
 
     def map(

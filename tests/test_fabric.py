@@ -21,6 +21,7 @@ The load-bearing invariants:
 
 import asyncio
 import json
+import logging
 import threading
 import warnings
 
@@ -252,6 +253,42 @@ class TestWireCodec:
                     "b": np.array([1, 2], dtype=np.uint64),
                 }
             )
+
+    def test_non_flat_signal_rejected(self):
+        with pytest.raises(WireError, match="must be a flat word array"):
+            encode_request({"a": np.zeros((2, 2), dtype=np.uint64)})
+
+    def test_encoder_normalises_what_is_not_flat_uint64(self):
+        # The flat-uint64 fast path must not change what else encodes:
+        # scalars, lists and other integer dtypes still coerce.
+        reference = decode_request(
+            encode_request(
+                {
+                    "a": np.array([7], dtype=np.uint64),
+                    "b": np.array([9], dtype=np.uint64),
+                }
+            )
+        )
+        coerced = decode_request(
+            encode_request({"a": np.uint64(7), "b": [9]})
+        )
+        for name, words in reference.items():
+            assert np.array_equal(coerced[name], words)
+            assert coerced[name].dtype == np.uint64
+
+    def test_decoded_signals_are_read_only_aligned_rows(self):
+        inputs = {
+            name: np.array([index, index + 1], dtype=np.uint64)
+            for index, name in enumerate("abc")
+        }
+        back = decode_request(encode_request(inputs))
+        for name, words in inputs.items():
+            row = back[name]
+            assert np.array_equal(row, words)
+            assert row.shape == (2,) and row.flags.aligned
+            assert not row.flags.writeable
+            with pytest.raises(ValueError):
+                row[0] = 0
 
 
 # ----------------------------------------------------------------------
@@ -516,6 +553,30 @@ class TestFabricEndToEnd:
                 )
             with FabricClient(node.url, wire="json") as client:
                 assert_results_identical(expected, client.infer(stim))
+
+    def test_stop_with_open_connections_is_clean(self, compiled, caplog):
+        """Regression: ``stop()`` used to leave open keep-alive handlers
+        to ``asyncio.run``'s teardown, which cancelled them inside
+        ``writer.wait_closed()`` — one "Exception in callback ...
+        CancelledError" from the loop's exception handler per stop.
+        The loser of that race is a handler whose client hung up just
+        before the stop; a client still connected must not be one
+        either."""
+        stim = random_stimulus(compiled.program.graph, 1, seed=0)
+        with caplog.at_level(logging.WARNING, logger="asyncio"):
+            for round_ in range(10):
+                node = FabricNode(compiled.program).start()
+                with FabricClient(node.url) as client:
+                    client.infer(stim)
+                    if round_ < 2:
+                        node.stop()  # with the connection open
+                node.stop()
+        # The default loop exception handler logs to "asyncio".
+        assert [
+            record.getMessage()
+            for record in caplog.records
+            if record.name == "asyncio"
+        ] == []
 
     def test_health_and_stats(self, node):
         with FabricClient(node.url) as client:

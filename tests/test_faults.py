@@ -22,6 +22,7 @@ The load-bearing invariants:
 """
 
 import http.client
+import multiprocessing
 import threading
 import time
 
@@ -36,6 +37,7 @@ from repro.engine import Session
 from repro.lpu import random_stimulus
 from repro.netlist import random_dag
 from repro.serve import (
+    BatchScheduler,
     FaultEvent,
     FaultInjector,
     FaultPlan,
@@ -53,6 +55,8 @@ from repro.serve.fabric import (
     RetryPolicy,
 )
 from repro.serve.scheduler import DeadlineExceeded
+
+from gated import GatedTarget
 
 SMALL = LPUConfig(num_lpvs=4, lpes_per_lpv=8)
 
@@ -154,23 +158,17 @@ class TestFaultPlan:
 # ======================================================================
 # Worker supervision
 # ======================================================================
+_FORK = pytest.param(
+    "fork",
+    marks=pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="process backend needs fork",
+    ),
+)
+
+
 class TestSupervision:
-    @pytest.mark.parametrize(
-        "backend",
-        [
-            "thread",
-            pytest.param(
-                "fork",
-                marks=pytest.mark.skipif(
-                    "fork"
-                    not in __import__(
-                        "multiprocessing"
-                    ).get_all_start_methods(),
-                    reason="process backend needs fork",
-                ),
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("backend", ["thread", _FORK])
     def test_killed_worker_restarts_and_batch_survives(
         self, compiled, backend
     ):
@@ -197,6 +195,38 @@ class TestSupervision:
                 ("pool.dispatch", 2, "crash_worker", 0.0)
             ]
         finally:
+            pool.close()
+
+    @pytest.mark.parametrize("backend", ["thread", _FORK])
+    def test_scheduler_slot_survives_worker_death(self, compiled, backend):
+        # The worker dies under the batch (crash injected right after
+        # placement); the pool re-places it and resolves its own future
+        # once, so the scheduler's slot is released exactly once.
+        session = Session(compiled)
+        requests = _requests(compiled.graph, 3)
+        pool = WorkerPool(
+            compiled,
+            num_workers=1,
+            backend=backend,
+            injector=FaultInjector(FaultPlan().crash_worker(0, at=0)),
+        )
+        scheduler = BatchScheduler(
+            pool.submit, max_wait_ms=10_000.0, slots=pool.num_workers
+        )
+        try:
+            for request in requests:
+                assert_results_identical(
+                    session.run(request),
+                    scheduler.submit(request).result(timeout=60),
+                )
+                assert scheduler.stats.in_flight == 0
+            assert pool.stats()["total_restarts"] == 1
+            assert pool.stats()["replaced_batches"] >= 1
+            # Neither leaked (a later request would have waited out the
+            # deadline) nor released twice (in_flight would go negative).
+            assert scheduler.stats.released["slot_free"] == len(requests)
+        finally:
+            scheduler.close()
             pool.close()
 
     def test_direct_kill_worker_is_survivable(self, compiled):
@@ -252,30 +282,20 @@ class TestSupervision:
 # Request deadlines
 # ======================================================================
 class TestDeadlines:
-    def test_queued_request_is_shed_typed(self):
-        # A downstream that never fills the batch: the lone request
-        # sits in the queue until its deadline, then sheds typed.
-        from repro.serve import BatchScheduler
-
-        calls = []
-
-        def submit(inputs):
-            from concurrent.futures import Future
-
-            calls.append(inputs)
-            future = Future()
-            future.set_result(None)
-            return future
-
+    def test_queued_request_is_shed_typed(self, compiled):
+        # A downstream that stays busy: the one slot is held by an
+        # unresolved batch, so the request behind it sits in the queue
+        # until its deadline, then sheds typed.
+        target = GatedTarget(Session(compiled).run)
         scheduler = BatchScheduler(
-            submit, max_batch_size=8, max_wait_ms=10_000.0,
-            pi_names=frozenset(["a"]),
+            target, max_batch_size=8, max_wait_ms=10_000.0
         )
         try:
+            request = _requests(compiled.graph, 1)[0]
+            blocker = scheduler.submit(request)
+            target.wait_for(1)
             started = time.monotonic()
-            future = scheduler.submit(
-                {"a": np.zeros(1, dtype=np.uint64)}, deadline_ms=25.0
-            )
+            future = scheduler.submit(request, deadline_ms=25.0)
             with pytest.raises(DeadlineExceeded) as excinfo:
                 future.result(timeout=30)
             waited = (time.monotonic() - started) * 1e3
@@ -285,7 +305,9 @@ class TestDeadlines:
             # 10-second fill deadline.
             assert waited < 5_000.0
             assert scheduler.stats.expired == 1
-            assert calls == []  # never dispatched
+            assert len(target.batches) == 1  # never dispatched
+            target.finish(0)
+            blocker.result(timeout=30)
         finally:
             scheduler.close()
 
@@ -310,25 +332,37 @@ class TestDeadlines:
             assert server.stats()["scheduler"]["expired"] == 0
 
     def test_expired_never_batched_with_live(self, compiled):
-        # An expired request must not ride along inside a later batch.
-        with InferenceServer(
-            compiled,
-            serving=ServeConfig(max_batch_size=4, max_wait_ms=10_000.0),
-        ) as server:
-            request = _requests(compiled.graph, 1)[0]
-            doomed = server.submit(request, deadline_ms=20.0)
+        # An expired request must not ride along inside a later batch:
+        # it queues (behind a busy slot) *between* live requests that
+        # share its fill window, expires there, and the batch the
+        # completion releases carries the live ones only.
+        session = Session(compiled)
+        target = GatedTarget(session.run)
+        request = _requests(compiled.graph, 1, max_words=1)[0]
+        with BatchScheduler(
+            target, max_batch_size=8, max_wait_ms=10_000.0
+        ) as scheduler:
+            blocker = scheduler.submit(request)
+            target.wait_for(1)
+            live = [scheduler.submit(request) for _ in range(2)]
+            doomed = scheduler.submit(request, deadline_ms=20.0)
+            live += [scheduler.submit(request) for _ in range(2)]
             with pytest.raises(DeadlineExceeded):
                 doomed.result(timeout=30)
-            # A fresh request after the shed still completes cleanly.
-            live = [server.submit(request) for _ in range(4)]
-            session = Session(compiled)
+            assert len(target.batches) == 1  # shed while still queued
+            target.finish(0)
+            target.wait_for(2)
+            assert target.words(1) == len(live)  # 1 word per request
+            target.finish(1)
             expected = session.run(request)
-            for future in live:
+            for future in [blocker] + live:
                 assert_results_identical(
                     expected, future.result(timeout=60)
                 )
-            stats = server.stats()["scheduler"]
+            stats = scheduler.stats.as_dict()
             assert stats["expired"] == 1
+            assert stats["requests"] == 1 + len(live)
+            assert stats["in_flight"] == 0
 
 
 # ======================================================================

@@ -15,6 +15,8 @@ The load-bearing invariants:
   preserves results exactly.
 """
 
+import random
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -44,6 +46,9 @@ from repro.serve import (
     run_serve_bench,
     serve,
 )
+from repro.serve.scheduler import RELEASE_TRIGGERS, DeadlineExceeded
+
+from gated import GatedTarget
 
 SMALL = LPUConfig(num_lpvs=4, lpes_per_lpv=8)
 TINY = LPUConfig(num_lpvs=2, lpes_per_lpv=4)
@@ -267,21 +272,30 @@ class TestBatchScheduler:
         assert scheduler.stats.max_batch <= 3
 
     def test_partial_batch_dispatched_at_deadline(self, compiled):
+        # The one slot is held busy, so the request queued behind it has
+        # nothing to wait for but the max-wait deadline.
         session = Session(compiled.program)
+        target = GatedTarget(session.run)
         scheduler = BatchScheduler(
-            session.run, max_batch_size=64, max_wait_ms=100.0
+            target, max_batch_size=64, max_wait_ms=100.0
         )
         try:
             stim = random_stimulus(compiled.program.graph, 1, seed=0)
-            start = time.monotonic()
-            result = scheduler.submit(stim).result(timeout=30)
-            elapsed = time.monotonic() - start
-            # Dispatched by deadline, not blocked on the batch filling.
-            assert elapsed < 29
-            assert_result_equal(result, session.run(stim))
-            (size, _words, waited) = scheduler.stats.recent[0]
+            blocker = scheduler.submit(stim)
+            target.wait_for(1)
+            future = scheduler.submit(stim)
+            # Dispatched by deadline, not blocked on the batch filling
+            # or on the busy slot.
+            target.wait_for(2)
+            assert not blocker.done()
+            (size, _words, waited) = scheduler.stats.recent[1]
             assert size == 1
             assert waited >= 0.1  # honored the coalescing window
+            assert scheduler.stats.released["deadline"] == 1
+            target.finish(1)
+            target.finish(0)
+            assert_result_equal(future.result(timeout=30), session.run(stim))
+            assert_result_equal(blocker.result(timeout=30), session.run(stim))
         finally:
             scheduler.close()
 
@@ -383,6 +397,204 @@ class TestBatchScheduler:
             BatchScheduler(lambda inputs: None, max_batch_size=0)
         with pytest.raises(ValueError):
             BatchScheduler(lambda inputs: None, max_wait_ms=-1.0)
+        with pytest.raises(ValueError):
+            BatchScheduler(lambda inputs: None, slots=0)
+
+
+class TestWorkConservingPolicy:
+    """A request waits for batch-mates only while every slot is busy.
+
+    Deterministic: the downstream is a :class:`GatedTarget`, so "busy"
+    is a future the test holds, never a sleep.  ``max_wait_ms`` is 10 s
+    throughout — a batch that leaves the queue did not leave by
+    deadline.
+    """
+
+    def _stim(self, compiled, seed=0):
+        return random_stimulus(compiled.program.graph, 1, seed=seed)
+
+    def test_lone_request_on_idle_target_dispatches_at_once(self, compiled):
+        session = Session(compiled.program)
+        with BatchScheduler(
+            session.run, max_batch_size=64, max_wait_ms=10_000.0
+        ) as scheduler:
+            stim = self._stim(compiled)
+            result = scheduler.submit(stim).result(timeout=5)
+            assert_result_equal(result, session.run(stim))
+            (size, _words, waited) = scheduler.stats.recent[0]
+            assert size == 1
+            assert waited < 1.0  # of a 10 s window
+            stats = scheduler.stats.as_dict()
+            assert stats["released"] == {
+                "full": 0, "slot_free": 1, "deadline": 0, "closing": 0,
+            }
+            assert stats["in_flight"] == 0
+
+    def test_busy_slot_coalesces_until_the_completion(self, compiled):
+        session = Session(compiled.program)
+        target = GatedTarget(session.run)
+        stims = [self._stim(compiled, seed) for seed in range(6)]
+        with BatchScheduler(
+            target, max_batch_size=64, max_wait_ms=10_000.0
+        ) as scheduler:
+            futures = [scheduler.submit(stims[0])]
+            target.wait_for(1)
+            assert scheduler.stats.in_flight == 1
+            futures += [scheduler.submit(stim) for stim in stims[1:]]
+            # The completion, not the deadline, releases all five as one
+            # batch.
+            target.finish(0)
+            target.wait_for(2)
+            assert target.words(1) == 5
+            target.finish(1)
+            for future, stim in zip(futures, stims):
+                assert_result_equal(
+                    future.result(timeout=30), session.run(stim)
+                )
+            assert scheduler.stats.released["slot_free"] == 2
+            assert scheduler.stats.released["deadline"] == 0
+            assert scheduler.stats.max_wait_s < 5.0
+            assert scheduler.stats.in_flight == 0
+
+    def test_two_slots_fly_two_batches_and_hold_the_third(self, compiled):
+        session = Session(compiled.program)
+        target = GatedTarget(session.run)
+        stims = [self._stim(compiled, seed) for seed in range(5)]
+        with BatchScheduler(
+            target, max_batch_size=64, max_wait_ms=10_000.0, slots=2
+        ) as scheduler:
+            futures = [scheduler.submit(stims[0])]
+            target.wait_for(1)
+            futures.append(scheduler.submit(stims[1]))
+            target.wait_for(2)  # second slot: no waiting either
+            assert scheduler.stats.in_flight == 2
+            futures += [scheduler.submit(stim) for stim in stims[2:]]
+            target.finish(1)  # any completion frees a slot
+            target.wait_for(3)
+            assert target.words(2) == 3  # held together until then
+            assert scheduler.stats.in_flight == 2
+            target.finish(0)
+            target.finish(2)
+            for future, stim in zip(futures, stims):
+                assert_result_equal(
+                    future.result(timeout=30), session.run(stim)
+                )
+            assert scheduler.stats.released["slot_free"] == 3
+            assert scheduler.stats.in_flight == 0
+
+    def test_full_batch_goes_even_with_every_slot_busy(self, compiled):
+        session = Session(compiled.program)
+        target = GatedTarget(session.run)
+        with BatchScheduler(
+            target, max_batch_size=3, max_wait_ms=10_000.0
+        ) as scheduler:
+            futures = [scheduler.submit(self._stim(compiled))]
+            target.wait_for(1)
+            futures += [
+                scheduler.submit(self._stim(compiled)) for _ in range(3)
+            ]
+            target.wait_for(2)  # saturated regime: full still releases
+            assert target.words(1) == 3
+            assert scheduler.stats.released["full"] == 1
+            assert scheduler.stats.in_flight == 2
+            target.finish(0)
+            target.finish(1)
+            for future in futures:
+                future.result(timeout=30)
+            assert scheduler.stats.in_flight == 0
+
+    def test_slot_released_when_dispatch_raises(self, compiled):
+        def dispatch(inputs):
+            raise RuntimeError("engine exploded")
+
+        with BatchScheduler(dispatch, max_wait_ms=10_000.0) as scheduler:
+            for _ in range(3):
+                future = scheduler.submit(self._stim(compiled))
+                with pytest.raises(RuntimeError, match="engine exploded"):
+                    future.result(timeout=30)
+                assert scheduler.stats.in_flight == 0
+            # A leaked slot would have held the later ones to the deadline.
+            assert scheduler.stats.released["slot_free"] == 3
+
+    def test_slot_released_when_batch_future_fails(self, compiled):
+        session = Session(compiled.program)
+        target = GatedTarget(session.run)
+        with BatchScheduler(target, max_wait_ms=10_000.0) as scheduler:
+            doomed = scheduler.submit(self._stim(compiled))
+            target.wait_for(1)
+            target.fail(0, RuntimeError("worker exploded"))
+            with pytest.raises(RuntimeError, match="worker exploded"):
+                doomed.result(timeout=30)
+            assert scheduler.stats.in_flight == 0
+            survivor = scheduler.submit(self._stim(compiled))
+            target.wait_for(2)
+            target.finish(1)
+            survivor.result(timeout=30)
+            assert scheduler.stats.released["slot_free"] == 2
+            assert scheduler.stats.in_flight == 0
+
+    def test_slots_released_after_close_without_drain(self, compiled):
+        session = Session(compiled.program)
+        target = GatedTarget(session.run)
+        scheduler = BatchScheduler(
+            target, max_batch_size=8, max_wait_ms=10_000.0
+        )
+        futures = [scheduler.submit(self._stim(compiled))]
+        target.wait_for(1)
+        futures += [scheduler.submit(self._stim(compiled)) for _ in range(3)]
+        scheduler.close(drain=False)
+        # Whatever the collector already held left as a "closing" batch,
+        # the rest was cancelled; every dispatched batch owns one slot.
+        assert scheduler.stats.in_flight == len(target.unresolved())
+        for index in target.unresolved():
+            target.finish(index)
+        assert scheduler.stats.in_flight == 0
+        for future in futures:
+            assert future.cancelled() or future.result(timeout=30)
+        assert scheduler.stats.released["deadline"] == 0
+
+    def test_slot_count_survives_a_thread_stress(self, compiled):
+        """More workers and submitters than cores under a tiny switch
+        interval: a lost update on ``in_flight`` (taken on the scheduler
+        thread, released on worker threads) would leave it off zero."""
+        session = Session(compiled.program)
+        stim = self._stim(compiled)
+        expected = session.run(stim)
+
+        def client(_):
+            for _ in range(50):
+                assert_result_equal(
+                    scheduler.submit(stim).result(timeout=60), expected
+                )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with WorkerPool(compiled.program, num_workers=4) as pool:
+                with BatchScheduler(
+                    pool.submit, max_batch_size=4, max_wait_ms=1.0, slots=4
+                ) as scheduler:
+                    with ThreadPoolExecutor(8) as executor:
+                        list(executor.map(client, range(8)))
+                    assert scheduler.stats.in_flight == 0
+        finally:
+            sys.setswitchinterval(interval)
+        stats = scheduler.stats
+        assert stats.requests == 8 * 50
+        assert sum(stats.released.values()) == stats.batches
+
+    def test_stats_report_is_additive(self, compiled):
+        session = Session(compiled.program)
+        with BatchScheduler(session.run) as scheduler:
+            scheduler.submit(self._stim(compiled)).result(timeout=30)
+            report = scheduler.stats.as_dict()
+        assert set(report["released"]) == set(RELEASE_TRIGGERS)
+        assert sum(report["released"].values()) == report["batches"] == 1
+        assert {
+            "requests", "expired", "batches", "mean_batch", "max_batch",
+            "max_wait_ms", "mean_wait_ms", "wait_p50_ms", "wait_p99_ms",
+            "wait_histogram_ms", "in_flight", "released",
+        } == set(report)
 
 
 #: Module-cached program for the hypothesis properties (fixtures don't
@@ -425,6 +637,58 @@ def test_property_scheduler_bit_identical(count, max_batch, max_wait_ms, seed):
             # A non-full batch must have been released by the deadline
             # (generous slack: CI schedulers can stall threads).
             assert waited <= max_wait_ms / 1e3 + 10.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    count=st.integers(1, 12),
+    max_batch=st.integers(1, 6),
+    max_wait_ms=st.sampled_from([0.0, 1.0, 20.0]),
+    slots=st.integers(1, 3),
+    seed=st.integers(0, 1000),
+)
+def test_property_work_conserving_scheduler(
+    count, max_batch, max_wait_ms, slots, seed
+):
+    """Any request count, batch bound, wait policy and slot count, with
+    batches completing in ANY order: every result is bit-identical to a
+    direct run, no batch is oversized, no request outwaits the policy,
+    and the slot count never goes negative or leaks."""
+    program = _property_program()
+    session = Session(program)
+    requests = _requests(program.graph, count, seed=seed)
+    target = GatedTarget(session.run)
+    order = random.Random(seed)
+    with BatchScheduler(
+        target,
+        max_batch_size=max_batch,
+        max_wait_ms=max_wait_ms,
+        slots=slots,
+    ) as scheduler:
+        futures = [scheduler.submit(r) for r in requests]
+        resolved = 0
+        while not all(f.done() for f in futures):
+            # Some batch is always outstanding or about to be: with
+            # every dispatched batch resolved, all slots are free.
+            target.wait_for(resolved + 1)
+            in_flight = scheduler.stats.in_flight
+            # (+1: the slot is taken just before the target is called)
+            assert 0 <= in_flight <= len(target.batches) - resolved + 1
+            target.finish(order.choice(target.unresolved()))
+            resolved += 1
+        results = [f.result(timeout=60) for f in futures]
+    direct = Session(program)
+    for served, request in zip(results, requests):
+        assert_result_equal(served, direct.run(request))
+    stats = scheduler.stats
+    assert stats.in_flight == 0
+    assert stats.requests == count
+    assert sum(stats.released.values()) == stats.batches == resolved
+    for size, _words, _waited in stats.recent:
+        assert size <= max_batch
+    # Dispatched within the policy's bound (generous slack: CI
+    # schedulers can stall threads).
+    assert max(stats.recent_waits_ms) <= max_wait_ms + 10_000.0
 
 
 class TestWorkerPool:
@@ -586,36 +850,47 @@ class TestRequestDeadlines:
     fault-tolerance matrix lives in test_faults.py)."""
 
     def test_deadline_on_the_boundary_of_the_wait(self, compiled):
-        from repro.serve import ServeConfig
-        from repro.serve.scheduler import DeadlineExceeded
-
+        # A request only queues behind a busy slot, so both halves hold
+        # the one slot with an unresolved batch first.
         session = Session(compiled.program)
+        request = _requests(compiled.program.graph, 1)[0]
         # deadline > fill-wait: the batch dispatches at max_wait and
         # the request completes well inside its budget.
-        with InferenceServer(
-            compiled.program,
-            serving=ServeConfig(max_batch_size=8, max_wait_ms=5.0),
-        ) as server:
-            request = _requests(compiled.program.graph, 1)[0]
-            future = server.submit(request, deadline_ms=5_000.0)
+        target = GatedTarget(session.run)
+        with BatchScheduler(
+            target, max_batch_size=8, max_wait_ms=5.0
+        ) as scheduler:
+            blocker = scheduler.submit(request)
+            target.wait_for(1)
+            future = scheduler.submit(request, deadline_ms=5_000.0)
+            target.wait_for(2)
+            assert scheduler.stats.released["deadline"] == 1
+            target.finish(1)
             assert_result_equal(
                 future.result(timeout=30), session.run(request)
             )
+            target.finish(0)
+            blocker.result(timeout=30)
+            assert scheduler.stats.expired == 0
         # deadline < fill-wait: shed typed within ~one scheduler tick,
         # nowhere near the 10-second fill window.
-        with InferenceServer(
-            compiled.program,
-            serving=ServeConfig(max_batch_size=8, max_wait_ms=10_000.0),
-        ) as server:
-            request = _requests(compiled.program.graph, 1)[0]
+        target = GatedTarget(session.run)
+        with BatchScheduler(
+            target, max_batch_size=8, max_wait_ms=10_000.0
+        ) as scheduler:
+            blocker = scheduler.submit(request)
+            target.wait_for(1)
             started = time.monotonic()
-            doomed = server.submit(request, deadline_ms=20.0)
+            doomed = scheduler.submit(request, deadline_ms=20.0)
             with pytest.raises(DeadlineExceeded) as excinfo:
                 doomed.result(timeout=30)
             assert excinfo.value.deadline_ms == 20.0
             assert excinfo.value.waited_ms >= 19.0
             assert (time.monotonic() - started) < 5.0
-            assert server.stats()["scheduler"]["expired"] == 1
+            assert scheduler.stats.as_dict()["expired"] == 1
+            assert len(target.batches) == 1  # never dispatched
+            target.finish(0)
+            blocker.result(timeout=30)
 
     def test_zero_or_negative_deadline_rejected(self, compiled):
         with InferenceServer(compiled.program) as server:
