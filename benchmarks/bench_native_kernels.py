@@ -2,7 +2,9 @@
 
 The native engine executes the same packed fused tables through
 pluggable backends — the always-available threaded word-shard backend
-(pure numpy + stdlib threads over the rowwise kernel), plus optional
+(pure numpy + stdlib threads, each shard running the fused form its
+width selects: the vector kernel below 512 words per shard, the
+hazard-ordered rowwise stream from there up), plus optional
 numba and CuPy backends when those accelerators are installed.  This
 bench pins down the claims behind the ``native`` registration:
 

@@ -65,10 +65,11 @@ the packed fused tables) with random stimulus and cross-checks it
 against functional evaluation.  The engine-bearing commands accept the
 native/fused tuning flags (``--native-backend``, ``--native-threads``,
 ``--native-min-shard-words``, ``--rowwise-min-words``); ``calibrate``
-measures the vector/rowwise kernel crossover on this host and prints
-the ``--rowwise-min-words`` value to apply, and ``inspect --profile``
-runs the kernel-level sampling profiler over an artifact and reports
-the slowest levels.
+times the fused engine's two executable forms (the generated vector
+kernel and the hazard-ordered rowwise stream) up to 2048 words on this
+host and prints the ``--rowwise-min-words`` value to apply, and
+``inspect --profile`` runs the kernel-level sampling profiler over an
+artifact and reports the slowest levels.
 ``throughput`` measures wall-clock inference throughput of the engines
 over repeated batched runs through the :class:`~repro.engine.Session`
 API; with ``--json`` it also reports the process-wide lowering/fusion
@@ -220,9 +221,11 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--rowwise-min-words", type=_positive_int, default=None,
-        help="fused/native engines: batch word count at which the "
-        "rowwise kernel takes over from the vector kernel "
-        "(measure with 'repro calibrate')",
+        help="fused/native/delta engines: batch word count at which the "
+        "rowwise form (the hazard-ordered stream run one instruction "
+        "at a time, three row touches per gate) takes over from the "
+        "generated vector kernel; default 512 (measure with 'repro "
+        "calibrate')",
     )
 
 
@@ -266,7 +269,7 @@ def _engine_options(
         options.update(native)
         if rowwise is not None:
             options["rowwise_min_words"] = rowwise
-    elif engine == "fused":
+    elif engine in ("fused", "delta"):
         if native and strict:
             raise SystemExit(
                 "error: --native-* options require --engine native"
@@ -276,8 +279,8 @@ def _engine_options(
     elif native or rowwise is not None:
         if strict:
             raise SystemExit(
-                "error: engine tuning options apply to the native/fused "
-                f"engines, not {engine!r}"
+                "error: engine tuning options apply to the "
+                f"native/fused/delta engines, not {engine!r}"
             )
     return options or None
 
@@ -1616,8 +1619,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cal = sub.add_parser(
         "calibrate",
-        help="measure the vector/rowwise kernel crossover and recommend "
-        "--rowwise-min-words for this host",
+        help="time the vector kernel against the rowwise (hazard-ordered "
+        "sequential) form and recommend --rowwise-min-words for this host",
     )
     _add_common(p_cal, netlist_optional=True)
     _add_artifact_source(p_cal)
@@ -1625,11 +1628,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=("fused", "native"),
         default="fused",
-        help="engine whose generated kernels to calibrate",
+        help="engine whose executable forms to calibrate",
     )
     _add_engine_options(p_cal)
     p_cal.add_argument(
-        "--max-words", type=_positive_int, default=256,
+        "--max-words", type=_positive_int, default=2048,
         help="largest batch word count in the power-of-two sweep",
     )
     p_cal.add_argument(

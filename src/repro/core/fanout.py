@@ -27,7 +27,7 @@ On top of the flat instruction tables sit:
 * a **dense view**: a :class:`FusedProgram` whose levels are the delta
   tables themselves.  Because every level's outputs are one contiguous
   ascending run and all reads come from strictly lower rows, the fused
-  kernel generator (:func:`repro.engine.fused.generate_kernels`) compiles
+  kernel generator (:func:`repro.engine.fused.generate_kernel`) compiles
   it as-is — the delta engine's worst-case fallback is literally the fused
   engine's kernel over the persistent table.  The dense view is **never**
   registered in the fusion cache (it would collide with the real fusion of
@@ -105,7 +105,7 @@ class FanoutTables:
 # ----------------------------------------------------------------------
 # Fanout cache: the tables depend on the FusedProgram alone and are
 # immutable, so every delta engine over one fusion shares one set of
-# tables (and, transitively, one pair of dense kernels).  Weak references
+# tables (and, transitively, one dense kernel).  Weak references
 # keyed by the fusion's id — the exact scheme of the fusion cache in
 # repro.core.liveness, one cache level up.
 _FANOUT_CACHE: Dict[int, "weakref.ref[FanoutTables]"] = {}
@@ -170,7 +170,7 @@ def adopt_fanout(tables: FanoutTables) -> FanoutTables:
 
     Returns the canonical tables for ``tables.fused``: live cached tables
     over the *same* fusion object win, so every consumer keeps sharing
-    one derivation and one pair of dense kernels.
+    one derivation and one dense kernel.
     """
     with _FANOUT_LOCK:
         key = id(tables.fused)

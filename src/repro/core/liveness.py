@@ -97,19 +97,17 @@ class FusedProgram:
     pi_regs: Dict[str, int]  # PI name -> register row (pinned)
     levels: List[FusedLevel]
     output_regs: Dict[str, int]  # PO name -> register row (never reused)
-    #: widest renamed level (rows of the shared gather/scratch buffers).
+    #: widest renamed level (rows of the vector kernel's gather buffer).
     max_level_width: int
-    #: per-program generated run kernels — a (vector, rowwise) pair,
-    #: compiled lazily by the fused engine and shared by every engine
-    #: over this fusion (never serialized; see repro.engine.fused).
-    kernel: Optional[Tuple[Callable, Callable]] = field(
-        default=None, compare=False
-    )
+    #: per-program generated vector kernel, compiled by the fused engine
+    #: and shared by every engine over this fusion (never serialized;
+    #: see repro.engine.fused).
+    kernel: Optional[Callable] = field(default=None, compare=False)
     #: lazily-populated per-program caches of the native/profiling
-    #: consumers, keyed by consumer name — the packed instruction stream
-    #: (repro.engine.native), timed profiling kernels, device-resident
-    #: tables.  Shared process-wide through the fusion cache exactly like
-    #: ``kernel``; never serialized.
+    #: consumers, keyed by consumer name — the hazard-ordered packed
+    #: stream (repro.core.stream), the timed profiling kernel,
+    #: device-resident tables.  Shared process-wide through the fusion
+    #: cache exactly like ``kernel``; never serialized.
     native_cache: Dict[str, object] = field(
         default_factory=dict, compare=False
     )

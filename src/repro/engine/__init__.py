@@ -9,8 +9,9 @@ bit-identical outputs and identical run statistics:
   numpy tables and executed with vectorized gathers,
 * :class:`FusedEngine` (``"fused"``) — the lowered tables renamed onto a
   compact register file (liveness-driven slot reuse) and executed by a
-  generated per-program kernel over preallocated workspaces: the fastest
-  batch path and the serving default,
+  generated per-program kernel — from 512 words up, by the hazard-ordered
+  instruction stream one ufunc per gate — over preallocated workspaces:
+  the fastest batch path and the serving default,
 * :class:`DeltaEngine` (``"delta"``) — stateful incremental execution
   for low-entropy streams: XOR-diffs each sample against the previous
   one and recomputes only the dirty cone, falling back to the fused

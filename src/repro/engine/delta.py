@@ -24,10 +24,11 @@ Each run then:
    fallback when the changed-input fraction reaches
    ``dense_input_fraction``, and a per-level bulk path when one level's
    dirty instruction count reaches ``dense_level_fraction`` /
-   ``dense_level_min`` — both reuse the fused engine's generated-kernel
-   machinery over the dense view of the delta tables, so worst-case cost
-   stays ~fused (one kernel over a slightly larger table) instead of
-   degrading to per-gate Python.
+   ``dense_level_min`` — both reuse the fused engine's machinery over
+   the dense view of the delta tables (the whole-run fallback *is*
+   :func:`repro.engine.fused.run_levels` on a fused workspace), so
+   worst-case cost stays ~fused (one run over a slightly larger table)
+   instead of degrading to per-gate Python.
 
 Results are **bit-identical to the fused engine — outputs and
 statistics** — for any stream history: a clean instruction's recorded row
@@ -44,7 +45,6 @@ drive any single state from one thread at a time.
 
 from __future__ import annotations
 
-import math
 import threading
 from typing import Dict, List, Optional, Tuple
 
@@ -57,7 +57,13 @@ from ..core.trace import TraceProgram, lower_program
 from ..lpu.simulator import SimulationResult
 from ..netlist import cells
 from .base import ExecutionEngine, register_engine
-from .fused import _PI_BASE, ROWWISE_MIN_WORDS, ensure_kernels
+from .fused import (
+    _PI_BASE,
+    ROWWISE_MIN_WORDS,
+    _Workspace,
+    ensure_kernel,
+    run_levels,
+)
 
 _WORD = np.uint64
 
@@ -66,14 +72,15 @@ __all__ = ["DeltaEngine", "DeltaState"]
 
 class DeltaState:
     """Persistent per-stream execution state: the single-assignment value
-    table, the previous input words, and stream counters.
+    table (a fused workspace over the dense view), the previous input
+    words, and stream counters.
 
     Buffers bind lazily to the first run's batch shape; a shape change
     rebinds them and forces one full dense run.
     """
 
     __slots__ = (
-        "shape", "values", "rows", "ab_buf", "pi_block", "prev",
+        "shape", "ws", "values", "rows", "pi_block", "prev",
         "incoming", "valid", "runs", "full_runs", "clean_runs",
         "sparse_runs", "dense_fallback_runs", "dense_levels",
         "sparse_instructions",
@@ -81,9 +88,9 @@ class DeltaState:
 
     def __init__(self) -> None:
         self.shape: Optional[Tuple[int, ...]] = None
+        self.ws: Optional[_Workspace] = None
         self.values = None
         self.rows: List[np.ndarray] = []
-        self.ab_buf = None
         self.pi_block = None
         self.prev = None
         self.incoming = None
@@ -98,14 +105,12 @@ class DeltaState:
 
     def bind(self, tables: FanoutTables, shape: Tuple[int, ...]) -> None:
         self.shape = shape
-        self.values = np.empty((tables.num_rows,) + shape, dtype=_WORD)
-        self.values[0] = 0
-        self.values[1] = _WORD(0xFFFFFFFFFFFFFFFF)
-        width = max(2 * tables.fused.max_level_width, 1)
-        self.ab_buf = np.empty((width,) + shape, dtype=_WORD)
-        self.rows = list(self.values)
+        self.ws = ws = _Workspace(tables.dense, shape)
+        # the sparse sweep's hot loop reads these without the extra hop
+        self.values, self.rows, self.pi_block = (
+            ws.values, ws.rows, ws.pi_block
+        )
         num_pi = len(tables.pi_rows)
-        self.pi_block = self.values[_PI_BASE:_PI_BASE + num_pi]
         self.prev = np.empty((num_pi,) + shape, dtype=_WORD)
         self.incoming = np.empty((num_pi,) + shape, dtype=_WORD)
         self.valid = False
@@ -116,10 +121,9 @@ class DeltaState:
 
     @property
     def nbytes(self) -> int:
-        if self.values is None:
+        if self.ws is None:
             return 0
-        return (self.values.nbytes + self.ab_buf.nbytes
-                + self.prev.nbytes + self.incoming.nbytes)
+        return self.ws.nbytes + self.prev.nbytes + self.incoming.nbytes
 
     def counters(self) -> Dict[str, int]:
         return {
@@ -171,8 +175,14 @@ class DeltaEngine(ExecutionEngine):
         dense_input_fraction: Optional[float] = None,
         dense_level_fraction: Optional[float] = None,
         dense_level_min: Optional[int] = None,
+        rowwise_min_words: Optional[int] = None,
     ) -> None:
         super().__init__(program)
+        self.rowwise_min_words = (
+            ROWWISE_MIN_WORDS
+            if rowwise_min_words is None
+            else int(rowwise_min_words)
+        )
         if fused is not None and (trace is None or fused.trace is trace):
             self.fused = adopt_fusion(fused)
         else:
@@ -184,10 +194,11 @@ class DeltaEngine(ExecutionEngine):
             self.tables = adopt_fanout(fanout)
         else:
             self.tables = build_fanout(self.fused)
-        # The dense view IS a FusedProgram, so the fallback kernels come
-        # straight from the fused engine's generator (cached on the view,
-        # which lives in the process-wide fanout cache).
-        self._kernels = ensure_kernels(self.tables.dense)
+        # The dense view IS a FusedProgram, so the fallback runs it the
+        # way the fused engine would; its vector kernel (cached on the
+        # view, which lives in the process-wide fanout cache) is compiled
+        # here rather than on the first stream step.
+        ensure_kernel(self.tables.dense)
         if dense_input_fraction is not None:
             self.dense_input_fraction = float(dense_input_fraction)
         if dense_level_fraction is not None:
@@ -374,13 +385,10 @@ class DeltaEngine(ExecutionEngine):
     # Execution paths
     # ------------------------------------------------------------------
     def _run_dense(self, state: DeltaState) -> None:
-        """Bind every input and run the generated dense kernel."""
+        """Bind every input and run the dense view like a fused program."""
         if state.pi_block.shape[0]:
             state.pi_block[...] = state.incoming
-        vector, rowwise = self._kernels
-        kernel = rowwise if math.prod(state.shape) >= ROWWISE_MIN_WORDS \
-            else vector
-        kernel(state.values, state.rows, state.ab_buf)
+        run_levels(state.ws, self.rowwise_min_words)
         state.prev, state.incoming = state.incoming, state.prev
         state.valid = True
 
@@ -443,7 +451,7 @@ class DeltaEngine(ExecutionEngine):
         only the rows whose value changed; returns the changed rows."""
         ab_idx, two_ary, segs = self._level_plan[lev]
         k = e - s
-        ab = state.ab_buf[:2 * k] if two_ary else state.ab_buf[:k]
+        ab = state.ws.ab_buf[:2 * k if two_ary else k]
         state.values.take(ab_idx, 0, ab, "clip")
         a, b = ab[:k], ab[k:]
         for func, is2, seg_s, seg_e in segs:

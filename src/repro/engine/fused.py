@@ -1,4 +1,4 @@
-"""The fused engine: generated per-program kernels over a register file.
+"""The fused engine: per-program executable forms over a register file.
 
 Three stacked optimizations over :class:`~repro.engine.trace.TraceEngine`,
 all bit-identical to it (outputs and statistics):
@@ -10,34 +10,43 @@ all bit-identical to it (outputs and statistics):
    Smaller tables mean less memory traffic per gather — the software
    analogue of the LPU's circulation buffers.
 2. **Preallocated workspaces** — each engine keeps one workspace per
-   batch shape (the register file plus one gather scratch) and executes
-   with ``take(..., out=...)`` gathers and ufunc ``out=`` kernels, so the
+   batch shape (the register file, plus the scratch of whichever
+   executable form has run on that shape) and executes with
+   ``take(..., out=...)`` gathers and ufunc ``out=`` kernels, so the
    steady-state run loop performs no array allocation at all.
-3. **Per-program generated kernels** — the level/segment loop is lowered
-   once into flat ``exec``-compiled Python functions of direct ufunc
-   calls: no per-level tuple unpacking, no segment dispatch.  Two kernels
-   are generated per program, chosen per run by batch size:
+3. **Two executable forms of the levels**, chosen per run by batch size
+   in one place (:func:`run_levels`), each kept because it wins a
+   measured regime:
 
-   * the **vector** kernel minimizes Python/numpy *call count* (one
-     fused A+B gather per level, segment ufuncs computed in place in the
-     gather buffer, one scatter) — fastest when rows are a few words and
-     interpreter overhead dominates;
-   * the **rowwise** kernel minimizes *memory traffic* (every
-     instruction one direct row-view ufunc, no gather/scatter copies at
-     all — three row touches per instruction instead of seven) — fastest
-     when rows are wide and bandwidth dominates.
-
-   Both are cached on the :class:`~repro.core.liveness.FusedProgram`
-   itself, which lives in the process-wide fusion cache — a serving pool
-   over one program compiles the kernels once, not once per worker.
+   * the **vector** kernel minimizes Python/numpy *call count*: the
+     level/segment loop is lowered once into a flat ``exec``-compiled
+     function of direct ufunc calls (one fused A+B gather per level,
+     segment ufuncs computed in place, no scatter for contiguous
+     levels).  It touches seven rows per instruction (gather 2+2,
+     compute 2+1) but makes a handful of calls per level — fastest
+     while rows are narrow and interpreter overhead dominates.  It is
+     cached on the :class:`~repro.core.liveness.FusedProgram`, which
+     lives in the process-wide fusion cache, so a serving pool over one
+     program compiles it once;
+   * the **rowwise** form minimizes *memory traffic*: the
+     hazard-ordered packed stream (:func:`repro.core.stream.pack_stream`
+     — readers of a register before its writer, one ``MOV`` per cycle
+     broken) run strictly sequentially, bound to a workspace's row
+     views as a list of ``(ufunc, (row views...))`` calls.  Three row
+     touches per instruction on *every* level, no gather or scatter
+     copies, one call per instruction — fastest from
+     :data:`ROWWISE_MIN_WORDS` words up, where bandwidth dominates.  It
+     is data, not generated code: the stream is ordered on the first
+     wide run of a program and bound on the first wide run of a shape,
+     so an engine that only ever sees narrow batches never pays for it.
 
 One :class:`FusedEngine` instance owns mutable workspaces; a per-engine
 lock serializes concurrent :meth:`FusedEngine.run` calls, so sharing one
 engine (or :class:`~repro.engine.session.Session`) across threads stays
 *correct* — but for thread-PARALLEL serving create one engine per
 thread, which is exactly what :class:`~repro.serve.pool.WorkerPool`
-does; the renamed tables and the generated kernels are still shared
-process-wide.
+does; the renamed tables, the generated kernel and the packed stream are
+still shared process-wide.
 """
 
 from __future__ import annotations
@@ -57,6 +66,7 @@ from ..core.liveness import (
     adopt_fusion,
     fuse_trace,
 )
+from ..core.stream import OP_MOV, OP_NOT, STREAM_FUNCS, pack_stream
 from ..core.trace import _NUM_CONST_SLOTS, TraceProgram, lower_program
 from ..lpu.simulator import SimulationResult
 from ..netlist import cells
@@ -74,12 +84,12 @@ _PI_BASE = _NUM_CONST_SLOTS
 INLINE_MAX = 4
 
 #: Batch sizes (uint64 words per PI) at or above which the rowwise
-#: kernel wins: rows are wide enough that the gather/scatter copies cost
-#: more than the extra per-instruction ufunc calls.  The module constant
-#: is the default; every engine takes a ``rowwise_min_words`` option to
-#: override it per instance (``repro calibrate`` measures the host's
-#: actual crossover).
-ROWWISE_MIN_WORDS = 32
+#: form takes over from the vector kernel: rows are wide enough that the
+#: gather copies cost more than one ufunc call per instruction.  The
+#: module constant is the measured default; every engine takes a
+#: ``rowwise_min_words`` option to override it per instance (``repro
+#: calibrate`` measures the host's actual crossover).
+ROWWISE_MIN_WORDS = 512
 
 #: In a non-contiguous (scattered) level, output sub-runs at least this
 #: long are written with direct slice copies; only the short remainder
@@ -106,8 +116,9 @@ _KERNEL_LOCK = threading.Lock()
 # ----------------------------------------------------------------------
 # Kernel generation
 # ----------------------------------------------------------------------
-def _rowwise_safe(level) -> bool:
-    """True when the level may run as ordered per-instruction statements.
+def _inline_safe(level) -> bool:
+    """True when the level may run as per-instruction statements in its
+    stored order.
 
     Safe only if no later instruction reads a register an earlier one of
     the same level writes (an instruction aliasing its *own* output with
@@ -124,7 +135,7 @@ def _rowwise_safe(level) -> bool:
     return True
 
 
-def _emit_rowwise_level(lines: List[str], level) -> None:
+def _emit_inline_level(lines: List[str], level) -> None:
     """Every instruction as one direct row-view ufunc statement."""
     ops = _level_ops(level)
     for i, op in enumerate(ops):
@@ -219,7 +230,7 @@ _KERNEL_HEAD = (
     "bxor=_bxor, binv=_binv):\n    take = values.take"
 )
 
-#: prologue of the timed profiling kernels: identical dataflow, plus a
+#: prologue of the timed profiling kernel: identical dataflow, plus a
 #: ``times`` accumulator written once per level.
 _TIMED_KERNEL_HEAD = (
     "def _kernel(values, rows, ab_buf, times, band=_band, bor=_bor, "
@@ -235,124 +246,180 @@ def _compile_kernel(lines: List[str], ns: Dict[str, object]):
     return kernel
 
 
-def generate_kernels(
-    fused: FusedProgram,
-) -> Tuple[Callable, Callable]:
-    """Compile the (vector, rowwise) run kernels of one fused program.
+def generate_kernel(fused: FusedProgram, *, timed: bool = False) -> Callable:
+    """Compile the vector run kernel of one fused program.
 
-    Each kernel executes every level in place over a workspace:
-    ``kernel(values, rows, ab_buf)``.
-    """
-    base_ns = {
-        "_band": np.bitwise_and,
-        "_bor": np.bitwise_or,
-        "_bxor": np.bitwise_xor,
-        "_binv": np.invert,
-    }
-
-    vec_ns: Dict[str, object] = dict(base_ns)
-    vec_lines = [_KERNEL_HEAD]
-    for index, level in enumerate(fused.levels):
-        if level.num_instructions <= INLINE_MAX and _rowwise_safe(level):
-            _emit_rowwise_level(vec_lines, level)
-        else:
-            _emit_gather_level(vec_lines, vec_ns, index, level)
-    vector = _compile_kernel(vec_lines, vec_ns)
-
-    row_ns: Dict[str, object] = dict(base_ns)
-    row_lines = [_KERNEL_HEAD]
-    for index, level in enumerate(fused.levels):
-        if _rowwise_safe(level):
-            _emit_rowwise_level(row_lines, level)
-        else:
-            _emit_gather_level(row_lines, row_ns, index, level)
-    rowwise = _compile_kernel(row_lines, row_ns)
-    return vector, rowwise
-
-
-def ensure_kernels(fused: FusedProgram) -> Tuple[Callable, Callable]:
-    """The generated kernels of ``fused``, compiling (once) on first use."""
-    kernels = fused.kernel
-    if kernels is not None:
-        return kernels
-    with _KERNEL_LOCK:
-        if fused.kernel is None:
-            fused.kernel = generate_kernels(fused)
-        return fused.kernel
-
-
-def generate_timed_kernels(
-    fused: FusedProgram,
-) -> Tuple[Callable, Callable]:
-    """The (vector, rowwise) kernels with per-level timing accumulation.
-
-    Identical dataflow to :func:`generate_kernels`, but each level is
+    The kernel executes every level in place over a workspace:
+    ``kernel(values, rows, ab_buf)``.  With ``timed`` each level is
     bracketed by ``perf_counter`` reads accumulated into a ``times``
-    array: ``kernel(values, rows, ab_buf, times)``.  This is the
-    sampling profiler's view of the *actual generated kernels* — not an
-    interpreted re-execution — so per-level shares match production runs.
+    array — ``kernel(values, rows, ab_buf, times)`` — which is the
+    sampling profiler's view of the *actual generated kernel*, not an
+    interpreted re-execution, so per-level shares match production runs.
     """
-    base_ns = {
+    ns: Dict[str, object] = {
         "_band": np.bitwise_and,
         "_bor": np.bitwise_or,
         "_bxor": np.bitwise_xor,
         "_binv": np.invert,
         "_perf": time.perf_counter,
     }
-    compiled: List[Callable] = []
-    for rowwise in (False, True):
-        ns: Dict[str, object] = dict(base_ns)
-        lines = [_TIMED_KERNEL_HEAD]
-        for index, level in enumerate(fused.levels):
+    lines = [_TIMED_KERNEL_HEAD if timed else _KERNEL_HEAD]
+    for index, level in enumerate(fused.levels):
+        if timed:
             lines.append("    _t0 = perf()")
-            inline = rowwise or level.num_instructions <= INLINE_MAX
-            if inline and _rowwise_safe(level):
-                _emit_rowwise_level(lines, level)
-            else:
-                _emit_gather_level(lines, ns, index, level)
+        if level.num_instructions <= INLINE_MAX and _inline_safe(level):
+            _emit_inline_level(lines, level)
+        else:
+            _emit_gather_level(lines, ns, index, level)
+        if timed:
             lines.append(f"    times[{index}] += perf() - _t0")
-        compiled.append(_compile_kernel(lines, ns))
-    return compiled[0], compiled[1]
+    return _compile_kernel(lines, ns)
 
 
-def ensure_timed_kernels(fused: FusedProgram) -> Tuple[Callable, Callable]:
-    """The timed profiling kernels, compiled once and cached on the
-    fusion (in ``native_cache``, like every lazily-derived executable)."""
-    kernels = fused.native_cache.get("timed_kernels")
-    if kernels is not None:
-        return kernels
+def ensure_kernel(fused: FusedProgram) -> Callable:
+    """The vector kernel of ``fused``, compiling (once) on first use."""
+    kernel = fused.kernel
+    if kernel is not None:
+        return kernel
     with _KERNEL_LOCK:
-        if "timed_kernels" not in fused.native_cache:
-            fused.native_cache["timed_kernels"] = generate_timed_kernels(
-                fused
+        if fused.kernel is None:
+            fused.kernel = generate_kernel(fused)
+        return fused.kernel
+
+
+def ensure_timed_kernel(fused: FusedProgram) -> Callable:
+    """The timed vector kernel, compiled once and cached on the fusion
+    (in ``native_cache``, like every lazily-derived executable)."""
+    kernel = fused.native_cache.get("timed_kernel")
+    if kernel is not None:
+        return kernel
+    with _KERNEL_LOCK:
+        if "timed_kernel" not in fused.native_cache:
+            fused.native_cache["timed_kernel"] = generate_kernel(
+                fused, timed=True
             )
-        return fused.native_cache["timed_kernels"]
+        return fused.native_cache["timed_kernel"]
 
 
 # ----------------------------------------------------------------------
 # Workspaces
 # ----------------------------------------------------------------------
 class _Workspace:
-    """Preallocated buffers for one batch shape: the register file plus
-    the whole-level fused a+b gather scratch."""
+    """Preallocated buffers for one batch shape: the register file, plus
+    the scratch of each executable form from the first time that form
+    runs on the shape — the vector kernel's whole-level a+b gather
+    buffer, the rowwise form's cycle-MOV rows and bound calls."""
 
-    __slots__ = ("values", "rows", "ab_buf", "pi_block")
+    __slots__ = (
+        "fused", "words", "values", "rows", "pi_block",
+        "_ab_buf", "_mov_rows", "_calls",
+    )
 
     def __init__(self, fused: FusedProgram, shape: Tuple[int, ...]) -> None:
+        self.fused = fused
+        self.words = math.prod(shape)
         self.values = np.empty((fused.num_regs,) + shape, dtype=_WORD)
         self.values[0] = 0
         self.values[1] = _WORD(0xFFFFFFFFFFFFFFFF)
-        width = max(2 * fused.max_level_width, 1)
-        self.ab_buf = np.empty((width,) + shape, dtype=_WORD)
-        # Prebound row views: generated code indexes rows[i] instead of
-        # re-slicing values[i] on every rowwise instruction, and input
-        # binding concatenates straight into the pinned PI block.
+        # Prebound row views: both forms index rows[i] instead of
+        # re-slicing values[i] per instruction, and input binding
+        # concatenates straight into the pinned PI block.
         self.rows = list(self.values)
         self.pi_block = self.values[_PI_BASE:_PI_BASE + len(fused.pi_regs)]
+        self._ab_buf: Optional[np.ndarray] = None
+        self._mov_rows: Optional[np.ndarray] = None
+        self._calls: Optional[Tuple[list, List[int]]] = None
+
+    @property
+    def ab_buf(self) -> np.ndarray:
+        """The vector kernel's gather scratch (two operand rows per
+        instruction of the widest level)."""
+        if self._ab_buf is None:
+            width = max(2 * self.fused.max_level_width, 1)
+            self._ab_buf = np.empty(
+                (width,) + self.values.shape[1:], dtype=_WORD
+            )
+        return self._ab_buf
+
+    def bound_calls(self) -> Tuple[list, List[int]]:
+        """The rowwise form over this workspace: the packed stream as
+        ``(ufunc, (row views...))`` calls plus each level's first call
+        (an inverting opcode is two calls, so these are not the stream's
+        ``level_starts``)."""
+        if self._calls is not None:
+            return self._calls
+        stream = pack_stream(self.fused)
+        self._mov_rows = np.empty(
+            (stream.num_regs - self.fused.num_regs,) + self.values.shape[1:],
+            dtype=_WORD,
+        )
+        rows = self.rows + list(self._mov_rows)
+        ops = stream.ops.tolist()
+        a_reg = stream.a_reg.tolist()
+        b_reg = stream.b_reg.tolist()
+        out_reg = stream.out_reg.tolist()
+        bounds = stream.level_starts.tolist()
+        calls: list = []
+        call_starts = [0]
+        for level in range(stream.num_levels):
+            for i in range(bounds[level], bounds[level + 1]):
+                op = ops[i]
+                out = rows[out_reg[i]]
+                if op == OP_MOV:
+                    calls.append((np.copyto, (out, rows[a_reg[i]])))
+                elif op == OP_NOT:
+                    calls.append((np.invert, (rows[a_reg[i]], out)))
+                else:
+                    func, inverted = STREAM_FUNCS[op]
+                    calls.append(
+                        (func, (rows[a_reg[i]], rows[b_reg[i]], out))
+                    )
+                    if inverted:
+                        calls.append((np.invert, (out, out)))
+            call_starts.append(len(calls))
+        self._calls = (calls, call_starts)
+        return self._calls
 
     @property
     def nbytes(self) -> int:
-        return self.values.nbytes + self.ab_buf.nbytes
+        return self.values.nbytes + sum(
+            buf.nbytes
+            for buf in (self._ab_buf, self._mov_rows)
+            if buf is not None
+        )
+
+
+def run_levels(
+    ws: _Workspace,
+    rowwise_min_words: float,
+    times: Optional[np.ndarray] = None,
+) -> str:
+    """Execute every level in place over ``ws`` and name the form used.
+
+    The one place that chooses between the two executable forms: the
+    rowwise form from ``rowwise_min_words`` words up, the vector kernel
+    below.  With ``times`` (one float per level) each level's
+    wall time is accumulated into it.
+    """
+    if ws.words >= rowwise_min_words:
+        calls, call_starts = ws.bound_calls()
+        if times is None:
+            for func, args in calls:
+                func(*args)
+        else:
+            perf = time.perf_counter
+            for level in range(len(call_starts) - 1):
+                chunk = calls[call_starts[level]:call_starts[level + 1]]
+                start = perf()
+                for func, args in chunk:
+                    func(*args)
+                times[level] += perf() - start
+        return "rowwise"
+    if times is None:
+        ensure_kernel(ws.fused)(ws.values, ws.rows, ws.ab_buf)
+    else:
+        ensure_timed_kernel(ws.fused)(ws.values, ws.rows, ws.ab_buf, times)
+    return "vector"
 
 
 # ----------------------------------------------------------------------
@@ -398,7 +465,7 @@ class FusedEngine(ExecutionEngine):
                 trace = lower_program(program)
             self.fused = fuse_trace(trace)
         self.trace = self.fused.trace
-        self._kernels = ensure_kernels(self.fused)
+        ensure_kernel(self.fused)  # compiled at boot, not on the first run
         # Workspaces are mutable per-instance state; the lock keeps a
         # Session shared across threads correct (the re-entrancy the
         # old trace default offered), at ~100ns uncontended cost.
@@ -497,10 +564,7 @@ class FusedEngine(ExecutionEngine):
         with self._run_lock:
             ws = self.workspace(shape)
             self._bind_inputs(ws, words)
-            vector, rowwise = self._kernels
-            kernel = rowwise if math.prod(shape) >= self.rowwise_min_words \
-                else vector
-            kernel(ws.values, ws.rows, ws.ab_buf)
+            run_levels(ws, self.rowwise_min_words)
             result = self._result(ws)
         if squeeze:
             for name in result.outputs:
@@ -511,25 +575,22 @@ class FusedEngine(ExecutionEngine):
     def profile_levels(
         self, inputs: Dict[str, np.ndarray], *, repeats: int = 1
     ) -> List[Dict[str, object]]:
-        """Per-level wall time through the *generated* kernels.
+        """Per-level wall time through the form :meth:`run` would pick.
 
-        Runs the timed variant of whichever kernel :meth:`run` would pick
-        for this batch shape (identical dataflow, one ``perf_counter``
-        bracket per level), accumulating over ``repeats`` runs — so the
-        per-level shares reflect production execution, not an interpreted
+        Runs that form for this batch shape with one ``perf_counter``
+        bracket per level (identical dataflow: the timed variant of the
+        generated vector kernel, or the bound rowwise calls level by
+        level), accumulating over ``repeats`` runs — so the per-level
+        shares reflect production execution, not an interpreted
         re-execution."""
         words, shape = self._gather_inputs(inputs)
         words, shape, _squeeze = self._promote_scalars(words, shape)
         with self._run_lock:
             ws = self.workspace(shape)
-            timed_vector, timed_rowwise = ensure_timed_kernels(self.fused)
-            use_rowwise = math.prod(shape) >= self.rowwise_min_words
-            kernel = timed_rowwise if use_rowwise else timed_vector
             times = np.zeros(len(self.fused.levels), dtype=np.float64)
             for _ in range(max(1, int(repeats))):
                 self._bind_inputs(ws, words)
-                kernel(ws.values, ws.rows, ws.ab_buf, times)
-            kernel_name = "rowwise" if use_rowwise else "vector"
+                kernel_name = run_levels(ws, self.rowwise_min_words, times)
             records: List[Dict[str, object]] = []
             for index, level in enumerate(self.fused.levels):
                 records.append(
@@ -552,19 +613,19 @@ class FusedEngine(ExecutionEngine):
         repeats: int = 5,
         seed: int = 0,
     ) -> Dict[str, object]:
-        """Measure the vector/rowwise kernel crossover on this host.
+        """Measure the vector/rowwise crossover on this host.
 
-        Times both generated kernels over a sweep of batch word counts
-        (random stimulus, best of ``repeats``) and reports the smallest
-        size where the rowwise kernel wins — the measured value to pass
-        as ``rowwise_min_words`` (the seed of the ROADMAP autotuning
-        item).  Purely diagnostic: does not change this engine's setting.
+        Times both executable forms over a sweep of batch word counts
+        (random stimulus, best of ``repeats`` after one untimed run that
+        allocates and binds the form) and reports the smallest size
+        where the rowwise form wins — the measured value to pass as
+        ``rowwise_min_words``.  Purely diagnostic: does not change this
+        engine's setting.
         """
         from ..lpu.functional import random_stimulus
 
         if word_sizes is None:
-            word_sizes = [1, 2, 4, 8, 16, 32, 64, 128, 256]
-        vector, rowwise = self._kernels
+            word_sizes = [2 ** n for n in range(12)]  # 1 .. 2048
         points: List[Dict[str, object]] = []
         crossover: Optional[int] = None
         with self._run_lock:
@@ -578,14 +639,17 @@ class FusedEngine(ExecutionEngine):
                 ]
                 ws = self.workspace((words_n,))
                 timings = {}
-                for label, kernel in (
-                    ("vector", vector), ("rowwise", rowwise),
+                # a threshold no batch reaches forces the vector kernel,
+                # one every batch reaches the rowwise form
+                for label, threshold in (
+                    ("vector", math.inf), ("rowwise", 1),
                 ):
+                    run_levels(ws, threshold)
                     best = float("inf")
                     for _ in range(max(1, int(repeats))):
                         self._bind_inputs(ws, bound)
                         start = time.perf_counter()
-                        kernel(ws.values, ws.rows, ws.ab_buf)
+                        run_levels(ws, threshold)
                         best = min(best, time.perf_counter() - start)
                     timings[label] = best
                 points.append(

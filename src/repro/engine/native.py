@@ -5,15 +5,18 @@ lanes and every gate is one bitwise op over whole words — the layout the
 paper's LPU exploits in hardware.  The remaining software speed lever is
 escaping the Python interpreter loop, and the
 :class:`~repro.core.liveness.FusedProgram` register tables are exactly
-the right IR to lift: this module packs them into one flat **instruction
-stream** (opcode / a / b / out arrays, with within-level read-after-write
-hazards resolved by scratch-register MOVs so strictly sequential
-execution is bit-identical to the level-parallel semantics) and executes
-it through pluggable backends:
+the right IR to lift: :mod:`repro.core.stream` packs them into one flat
+**instruction stream** (opcode / a / b / out arrays, each level
+hazard-ordered — readers of a register before its writer, one scratch
+MOV per cycle broken — so strictly sequential execution is bit-identical
+to the level-parallel semantics) and this module executes it through
+pluggable backends:
 
 * ``"threaded"`` — pure numpy/stdlib, always available: the batch word
-  axis is split into per-thread shards, each running the exec-generated
-  rowwise kernel over its own workspace.  Numpy ufuncs release the GIL,
+  axis is split into per-thread shards, each running the fused engine's
+  executable form for its shard width (the stream bound to row views
+  from ``rowwise_min_words`` words per shard up, the generated vector
+  kernel below) over its own workspace.  Numpy ufuncs release the GIL,
   so shards genuinely run on multiple cores; a crossover heuristic falls
   back to single-thread execution below :data:`MIN_SHARD_WORDS` words
   per shard.
@@ -23,8 +26,8 @@ it through pluggable backends:
 * ``"cupy"`` — optional: the same stream lifted onto the GPU as one
   ``RawKernel`` (one CUDA thread per word column, sequential over the
   stream — columns are independent, so no synchronization is needed).
-* ``"fused"`` — the single-threaded generated kernels, the terminal
-  fallback (identical to :class:`~repro.engine.fused.FusedEngine`).
+* ``"fused"`` — single-threaded execution, the terminal fallback
+  (identical to :class:`~repro.engine.fused.FusedEngine`).
 
 Both optional backends are gated behind import checks — the baseline
 pure-numpy environment never imports them — and ``backend="auto"``
@@ -32,7 +35,7 @@ resolves through the deterministic fallback chain
 ``cupy -> numba -> threaded -> fused`` (:func:`capabilities` reports
 what this host offers).  The packed stream and device-resident tables
 are cached on the ``FusedProgram`` (``native_cache``) alongside the
-exec-generated kernels, so a worker pool over one program packs once.
+exec-generated kernel, so a worker pool over one program packs once.
 
 Outputs AND statistics are bit-identical to every other engine; the
 parity matrix in ``tests/test_native.py`` and
@@ -44,25 +47,24 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..core.codegen import Program
-from ..core.liveness import FusedProgram, _level_ops
+from ..core.liveness import FusedProgram
+from ..core.stream import (
+    OP_MOV,
+    OP_NOT,
+    STREAM_FUNCS,
+    PackedStream,
+    pack_stream,
+)
 from ..core.trace import TraceProgram
 from ..lpu.simulator import SimulationResult
-from ..netlist import cells
 from .base import register_engine
-from .fused import (
-    _WORD,
-    FusedEngine,
-    _Workspace,
-    ensure_timed_kernels,
-)
+from .fused import _WORD, FusedEngine, _Workspace, run_levels
 
 __all__ = [
     "FALLBACK_CHAIN",
@@ -84,134 +86,10 @@ MIN_SHARD_WORDS = 64
 #: word-block size of the numba kernel's parallel outer loop.
 NUMBA_BLOCK_WORDS = 1024
 
-#: packed-stream opcodes (stable — the CUDA source mirrors them).
-OP_MOV = 0
-OP_AND = 1
-OP_OR = 2
-OP_XOR = 3
-OP_NAND = 4
-OP_NOR = 5
-OP_XNOR = 6
-OP_NOT = 7
-
-_CELL_OPS = {
-    cells.AND: OP_AND,
-    cells.OR: OP_OR,
-    cells.XOR: OP_XOR,
-    cells.NAND: OP_NAND,
-    cells.NOR: OP_NOR,
-    cells.XNOR: OP_XNOR,
-    cells.NOT: OP_NOT,
-}
-
-_PACK_LOCK = threading.Lock()
-
 
 # ----------------------------------------------------------------------
-# Packed instruction stream
+# Packed instruction stream (built by repro.core.stream)
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class PackedStream:
-    """The fused levels as one flat, strictly-sequential opcode stream.
-
-    Level semantics (all reads observe pre-level values) are preserved
-    under sequential execution by scratch-register MOVs: every register
-    both read and written within one level is copied to a scratch row at
-    the level head and the level's reads are remapped onto the copy.
-    """
-
-    ops: np.ndarray  # uint8, one packed opcode per instruction
-    a_reg: np.ndarray  # int32 source register, port a
-    b_reg: np.ndarray  # int32 source register, port b (0 for 1-ary)
-    out_reg: np.ndarray  # int32 destination register
-    level_starts: np.ndarray  # int64, len num_levels+1 (MOVs included)
-    num_regs: int  # register rows including scratch
-
-    @property
-    def num_instructions(self) -> int:
-        return len(self.ops)
-
-    @property
-    def num_levels(self) -> int:
-        return len(self.level_starts) - 1
-
-
-def _pack_uncached(fused: FusedProgram) -> PackedStream:
-    ops: List[int] = []
-    a_reg: List[int] = []
-    b_reg: List[int] = []
-    out_reg: List[int] = []
-    level_starts: List[int] = [0]
-    scratch_base = fused.num_regs
-    max_scratch = 0
-    for level in fused.levels:
-        level_ops = _level_ops(level)
-        reads: set = set()
-        for i, op in enumerate(level_ops):
-            reads.add(int(level.a_index[i]))
-            if cells.arity(op) == 2:
-                reads.add(int(level.b_index[i]))
-        written = {int(r) for r in level.out_index}
-        hazards = sorted(reads & written)
-        remap = {
-            reg: scratch_base + j for j, reg in enumerate(hazards)
-        }
-        max_scratch = max(max_scratch, len(hazards))
-        for reg, scratch in remap.items():
-            ops.append(OP_MOV)
-            a_reg.append(reg)
-            b_reg.append(0)
-            out_reg.append(scratch)
-        for i, op in enumerate(level_ops):
-            ops.append(_CELL_OPS[op])
-            a = int(level.a_index[i])
-            a_reg.append(remap.get(a, a))
-            if cells.arity(op) == 2:
-                b = int(level.b_index[i])
-                b_reg.append(remap.get(b, b))
-            else:
-                b_reg.append(0)
-            out_reg.append(int(level.out_index[i]))
-        level_starts.append(len(ops))
-    stream = PackedStream(
-        ops=np.asarray(ops, dtype=np.uint8),
-        a_reg=np.asarray(a_reg, dtype=np.int32),
-        b_reg=np.asarray(b_reg, dtype=np.int32),
-        out_reg=np.asarray(out_reg, dtype=np.int32),
-        level_starts=np.asarray(level_starts, dtype=np.int64),
-        num_regs=scratch_base + max_scratch,
-    )
-    for array in (
-        stream.ops, stream.a_reg, stream.b_reg, stream.out_reg,
-        stream.level_starts,
-    ):
-        array.setflags(write=False)
-    return stream
-
-
-def pack_stream(fused: FusedProgram) -> PackedStream:
-    """The packed stream of ``fused``, cached on the fusion itself (one
-    packing per program process-wide, like the generated kernels)."""
-    stream = fused.native_cache.get("stream")
-    if stream is not None:
-        return stream
-    with _PACK_LOCK:
-        if "stream" not in fused.native_cache:
-            fused.native_cache["stream"] = _pack_uncached(fused)
-        return fused.native_cache["stream"]
-
-
-#: numpy ufunc + invert-after flag per packed opcode (MOV handled apart).
-_STREAM_FUNCS = {
-    OP_AND: (np.bitwise_and, False),
-    OP_OR: (np.bitwise_or, False),
-    OP_XOR: (np.bitwise_xor, False),
-    OP_NAND: (np.bitwise_and, True),
-    OP_NOR: (np.bitwise_or, True),
-    OP_XNOR: (np.bitwise_xor, True),
-}
-
-
 def execute_stream(
     stream: PackedStream,
     values: np.ndarray,
@@ -222,9 +100,10 @@ def execute_stream(
     a ``(num_regs, words...)`` value table, in place.
 
     This is the semantics every native backend must match — the numba
-    and CUDA kernels are transliterations of this loop — and it runs on
-    pure numpy, so the tier-1 suite validates the packed IR (hazard MOVs
-    included) without any optional dependency.
+    and CUDA kernels are transliterations of this loop, the fused
+    engine's bound calls a pre-resolved copy of it — and it runs on pure
+    numpy, so the tier-1 suite validates the packed IR (hazard order and
+    cycle MOVs included) without any optional dependency.
     """
     if end is None:
         end = stream.num_instructions
@@ -241,7 +120,7 @@ def execute_stream(
         elif op == OP_NOT:
             np.invert(a, out=o)
         else:
-            func, inverted = _STREAM_FUNCS[op]
+            func, inverted = STREAM_FUNCS[op]
             func(a, values[b_reg[i]], out=o)
             if inverted:
                 np.invert(o, out=o)
@@ -313,7 +192,7 @@ def _load_numba_kernel():
 #: whole stream executed sequentially per thread.  Columns never share
 #: registers *elements* (register rows are indexed [reg][word]), so the
 #: only ordering requirement is the within-column program order each
-#: thread executes natively; hazard MOVs are already in the stream.
+#: thread executes natively; the stream is already hazard-ordered.
 _CUDA_SOURCE = r"""
 extern "C" __global__
 void lpu_stream(const unsigned char* __restrict__ ops,
@@ -405,7 +284,7 @@ class NativeEngine(FusedEngine):
 
     Same program sources, capability surface, outputs, and statistics as
     :class:`~repro.engine.fused.FusedEngine` (it *is* one, sharing the
-    fusion, workspaces, and generated kernels), plus the backend options:
+    fusion, workspaces, and executable forms), plus the backend options:
 
     Args:
         backend: ``"auto"`` (default — first available of
@@ -416,9 +295,9 @@ class NativeEngine(FusedEngine):
         min_shard_words: words per shard below which the threaded
             backend runs single-threaded (:data:`MIN_SHARD_WORDS`
             default).
-        rowwise_min_words: the fused vector/rowwise kernel crossover,
+        rowwise_min_words: the fused vector/rowwise crossover,
             inherited (applies to the single-thread fallback and to each
-            shard's kernel choice).
+            shard's choice of form).
     """
 
     name = "native"
@@ -545,7 +424,6 @@ class NativeEngine(FusedEngine):
         bounds = [
             num_words * t // shards for t in range(shards + 1)
         ]
-        vector, rowwise = self._kernels
         out_items = list(self.fused.output_regs.items())
         outputs = {
             name: np.empty(num_words, dtype=_WORD)
@@ -556,10 +434,7 @@ class NativeEngine(FusedEngine):
             lo, hi = bounds[t], bounds[t + 1]
             ws = self._shard_workspace(t, (hi - lo,))
             self._bind_shard(ws, flat, lo, hi)
-            kernel = (
-                rowwise if hi - lo >= self.rowwise_min_words else vector
-            )
-            kernel(ws.values, ws.rows, ws.ab_buf)
+            run_levels(ws, self.rowwise_min_words)
             for name, reg in out_items:
                 outputs[name][lo:hi] = ws.rows[reg]
 
@@ -693,16 +568,10 @@ class NativeEngine(FusedEngine):
                 result = self._stats_result(outputs)
             else:
                 # Terminal fallback (and the threaded backend's small-
-                # batch crossover): the single-thread generated kernels.
+                # batch crossover): single-thread fused execution.
                 ws = self.workspace(shape)
                 self._bind_inputs(ws, words)
-                vector, rowwise = self._kernels
-                kernel = (
-                    rowwise
-                    if num_words >= self.rowwise_min_words
-                    else vector
-                )
-                kernel(ws.values, ws.rows, ws.ab_buf)
+                run_levels(ws, self.rowwise_min_words)
                 result = self._result(ws)
         if squeeze:
             for name in result.outputs:
@@ -715,11 +584,11 @@ class NativeEngine(FusedEngine):
     ) -> List[Dict[str, object]]:
         """Per-level timing through the backend this engine runs.
 
-        The threaded backend profiles every shard concurrently with the
-        timed generated kernels and reports the per-level critical path
-        (max across shards); the stream backends (numba/cupy) time
+        The threaded backend profiles every shard concurrently, each
+        through its timed fused form, and reports the per-level critical
+        path (max across shards); the stream backends (numba/cupy) time
         per-level sub-stream launches; everything else inherits the
-        fused timed-kernel profile.  Records carry a ``backend`` key.
+        fused profile.  Records carry a ``backend`` key.
         """
         words, shape = self._gather_inputs(inputs)
         num_words = int(math.prod(shape)) if shape != () else 1
@@ -747,9 +616,6 @@ class NativeEngine(FusedEngine):
             bounds = [
                 num_words * t // shards for t in range(shards + 1)
             ]
-            timed_vector, timed_rowwise = ensure_timed_kernels(
-                self.fused
-            )
             shard_times = np.zeros(
                 (shards, num_levels), dtype=np.float64
             )
@@ -757,15 +623,10 @@ class NativeEngine(FusedEngine):
             def profile_shard(t: int) -> None:
                 lo, hi = bounds[t], bounds[t + 1]
                 ws = self._shard_workspace(t, (hi - lo,))
-                kernel = (
-                    timed_rowwise
-                    if hi - lo >= self.rowwise_min_words
-                    else timed_vector
-                )
                 for _ in range(max(1, int(repeats))):
                     self._bind_shard(ws, flat, lo, hi)
-                    kernel(
-                        ws.values, ws.rows, ws.ab_buf, shard_times[t]
+                    run_levels(
+                        ws, self.rowwise_min_words, shard_times[t]
                     )
 
             executor = self._ensure_executor()

@@ -1,12 +1,12 @@
 """Tests for liveness-driven fusion: the register allocator, the fused
-engine, its generated kernels and workspaces, the process-wide caches,
-and the artifact round-trip of renamed tables.
+engine, its two executable forms and workspaces, the process-wide
+caches, and the artifact round-trip of renamed tables.
 
 The load-bearing properties:
 
 * the fused engine is bit-identical (outputs AND statistics) to the
-  trace and cycle engines for every graph, batch shape, and kernel
-  choice (vector vs rowwise),
+  trace and cycle engines for every graph, batch shape, and executable
+  form (generated vector kernel vs bound rowwise stream),
 * the register file is strictly smaller than the trace value table on
   deep programs (the whole point of the renaming),
 * lowerings and fusions are shared process-wide — including under
@@ -18,6 +18,7 @@ import threading
 
 import numpy as np
 import pytest
+from forms import record_forms
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,8 +34,14 @@ from repro.core import (
     lowering_cache_stats,
 )
 from repro.core.liveness import adopt_fusion
+from repro.core.stream import pack_stream
 from repro.engine import FusedEngine, Session, create_engine
-from repro.engine.fused import ROWWISE_MIN_WORDS, ensure_kernels
+from repro.engine import fused as fused_module
+from repro.engine.fused import (
+    ROWWISE_MIN_WORDS,
+    ensure_kernel,
+    ensure_timed_kernel,
+)
 from repro.lpu import evaluate_graph, random_stimulus
 from repro.netlist import cells, random_dag, random_tree
 from repro.netlist.graph import LogicGraph
@@ -202,8 +209,16 @@ class TestFusionCache:
         one = create_engine("fused", res.program)
         two = create_engine("fused", res.program)
         assert one.fused is two.fused
-        assert one._kernels is two._kernels
-        assert ensure_kernels(one.fused) is one._kernels
+        # compiled once, at the first engine's construction
+        assert one.fused.kernel is not None
+        assert ensure_kernel(one.fused) is one.fused.kernel
+        wide = random_stimulus(
+            res.program.graph, array_size=ROWWISE_MIN_WORDS, seed=0
+        )
+        one.run(wide)
+        stream = one.fused.native_cache["stream"]
+        two.run(wide)
+        assert pack_stream(two.fused) is stream
 
 
 # ----------------------------------------------------------------------
@@ -274,8 +289,8 @@ class TestFusedEngine:
         _assert_fused_matches(res.program, stim)
 
     def test_parity_across_kernel_choice(self):
-        """Both generated kernels (vector for small batches, rowwise for
-        large) produce identical results around the switch threshold."""
+        """Both forms (vector for small batches, rowwise for large)
+        produce identical results around the switch threshold."""
         g = random_dag(6, 60, 3, seed=13)
         res = compile_ffcl(g, SMALL)
         graph = res.program.graph
@@ -286,22 +301,17 @@ class TestFusedEngine:
             stim = random_stimulus(graph, array_size=array_size, seed=1)
             _assert_fused_matches(res.program, stim)
 
-    def test_kernel_crossover_boundary(self):
+    def test_kernel_crossover_boundary(self, monkeypatch):
         """Exactly at the vector/rowwise switch (ROWWISE_MIN_WORDS - 1,
         the threshold itself, and one past it) the engine picks the
-        expected kernel AND stays bit-identical to functional
+        expected form AND stays bit-identical to functional
         evaluation — the boundary a off-by-one in the word-count
         comparison would silently move."""
         g = random_dag(6, 60, 3, seed=21)
         res = compile_ffcl(g, SMALL)
         graph = res.program.graph
         engine = create_engine("fused", res.program)
-        vector, rowwise = engine._kernels
-        calls = []
-        engine._kernels = (
-            lambda *a, _k=vector: (calls.append("vector"), _k(*a))[1],
-            lambda *a, _k=rowwise: (calls.append("rowwise"), _k(*a))[1],
-        )
+        calls = record_forms(monkeypatch, fused_module)
         expected_kernel = {
             ROWWISE_MIN_WORDS - 1: "vector",
             ROWWISE_MIN_WORDS: "rowwise",
@@ -317,6 +327,10 @@ class TestFusedEngine:
                     array_size, po,
                 )
             assert calls == [kernel_name], (array_size, calls)
+            # each form's scratch exists only on the shapes it ran on
+            ws = engine._workspaces[(array_size,)]
+            assert (ws._ab_buf is None) == (kernel_name == "rowwise")
+            assert (ws._calls is None) == (kernel_name == "vector")
 
     def test_workspace_reused_per_shape(self):
         g = random_dag(5, 30, 2, seed=3)
@@ -421,12 +435,25 @@ class TestFusedEngine:
         g = random_dag(5, 30, 2, seed=4)
         res = compile_ffcl(g, TINY)
         engine = create_engine("fused", res.program)
-        vector, rowwise = engine._kernels
+        # The vector kernel is generated code (gathers, or direct row
+        # views on small levels), as is its timed twin...
+        vector = ensure_kernel(engine.fused)
         assert vector.__source__.startswith("def _kernel(")
-        assert rowwise.__source__.startswith("def _kernel(")
-        # The vector kernel gathers; the rowwise kernel prefers direct
-        # row views (falling back to gathers only on aliasing levels).
         assert "take(" in vector.__source__ or "rows[" in vector.__source__
+        timed = ensure_timed_kernel(engine.fused)
+        assert timed.__source__.count("perf()") == 2 * engine.fused.num_levels
+        # ...the rowwise form is data: the packed stream bound to one
+        # workspace's rows, one call per instruction plus one per
+        # inverting opcode, split at the level boundaries.
+        ws = engine.workspace((ROWWISE_MIN_WORDS,))
+        calls, call_starts = ws.bound_calls()
+        stream = pack_stream(engine.fused)
+        assert len(call_starts) == stream.num_levels + 1
+        assert call_starts[0] == 0 and call_starts[-1] == len(calls)
+        assert len(calls) >= stream.num_instructions
+        for func, args in calls:
+            assert func is np.copyto or isinstance(func, np.ufunc)
+            assert all(arg.shape == (ROWWISE_MIN_WORDS,) for arg in args)
 
     def test_profile_levels_matches_level_count(self):
         g = random_dag(5, 40, 2, seed=11)
@@ -635,18 +662,13 @@ class TestRunComposedAllocation:
 
 # ----------------------------------------------------------------------
 class TestEngineTuning:
-    def test_rowwise_min_words_option(self):
+    def test_rowwise_min_words_option(self, monkeypatch):
         g = random_dag(5, 40, 2, seed=31)
         res = compile_ffcl(g, SMALL)
         graph = res.program.graph
         engine = create_engine("fused", res.program, rowwise_min_words=1)
         assert engine.rowwise_min_words == 1
-        vector, rowwise = engine._kernels
-        calls = []
-        engine._kernels = (
-            lambda *a, _k=vector: (calls.append("vector"), _k(*a))[1],
-            lambda *a, _k=rowwise: (calls.append("rowwise"), _k(*a))[1],
-        )
+        calls = record_forms(monkeypatch, fused_module)
         stim = random_stimulus(graph, array_size=2, seed=0)
         reference = evaluate_graph(graph, stim)
         result = engine.run(stim)
@@ -684,3 +706,8 @@ class TestEngineTuning:
             assert point["vector_seconds"] > 0
             assert point["rowwise_seconds"] > 0
         assert report["measured_crossover_words"] in (1, 2, None)
+        # the default sweep reaches past the crossover it looks for
+        default = engine.calibrate_crossover(repeats=1)
+        sizes = [p["words"] for p in default["points"]]
+        assert sizes[0] == 1 and sizes[-1] == 2048
+        assert sizes[-1] > ROWWISE_MIN_WORDS

@@ -5,9 +5,10 @@ The load-bearing properties:
 * every native backend is bit-identical — outputs AND statistics — to
   the fused engine for every model workload, batch shape, and thread
   count, directly and through the ``.lpa`` artifact round-trip,
-* the packed opcode stream (hazard MOVs included) executes under
-  strictly sequential semantics to the same results as the per-level
-  fused kernels — the contract the numba and CUDA kernels transliterate,
+* the packed opcode stream (hazard-ordered, cycle MOVs included)
+  executes under strictly sequential semantics to the same results as
+  the per-level fused kernel — the contract the numba and CUDA kernels
+  transliterate,
 * backend selection is deterministic (``cupy -> numba -> threaded ->
   fused``), explicit unavailable backends fail loudly, and the options
   plumb through ``Session``/``ServeConfig``/``WorkerPool``,
@@ -19,6 +20,7 @@ import threading
 
 import numpy as np
 import pytest
+from forms import record_forms
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +32,7 @@ from repro.engine import (
     create_engine,
     native_capabilities,
 )
+from repro.engine import native as native_module
 from repro.engine.native import (
     FALLBACK_CHAIN,
     OP_MOV,
@@ -191,10 +194,11 @@ class TestPackedStream:
         # Constants are never destinations.
         assert 0 not in stream.out_reg
         assert 1 not in stream.out_reg
-        # Hazard MOVs write only scratch rows, at level heads.
-        movs = np.flatnonzero(stream.ops == OP_MOV)
-        assert all(
-            int(stream.out_reg[i]) >= fused.num_regs for i in movs
+        # Cycle MOVs, and nothing else, write scratch rows.
+        movs = stream.ops == OP_MOV
+        assert np.array_equal(movs, stream.out_reg >= fused.num_regs)
+        assert stream.num_instructions == int(movs.sum()) + sum(
+            lv.num_instructions for lv in fused.levels
         )
 
     def test_sequential_interpreter_matches_fused_kernels(self):
@@ -472,19 +476,33 @@ class TestOptionsPlumbing:
         for stim, out in zip(stims, results):
             _assert_same_result(out, fused.run(stim), "serve")
 
-    def test_rowwise_min_words_reaches_native(self):
+    def test_rowwise_min_words_reaches_native(self, monkeypatch):
+        """The option picks the form on the single-thread fallback and
+        per shard (by shard width, not batch width) on the threaded
+        backend."""
+        forms = record_forms(monkeypatch, native_module)
         g = random_dag(4, 20, 1, seed=0)
         res = compile_ffcl(g, TINY)
-        engine = create_engine(
-            "native", res.program,
-            backend="fused", rowwise_min_words=1,
-        )
-        assert engine.rowwise_min_words == 1
-        stim = random_stimulus(res.program.graph, array_size=2, seed=0)
-        ref = evaluate_graph(res.program.graph, stim)
-        out = engine.run(stim)
-        for name, word in ref.items():
-            assert np.array_equal(out.outputs[name], word), name
+        graph = res.program.graph
+        for backend, threshold, words, expected in (
+            ("fused", 1, 2, ["rowwise"]),
+            ("fused", 3, 2, ["vector"]),
+            ("threaded", 4, 8, ["rowwise", "rowwise"]),
+            ("threaded", 5, 8, ["vector", "vector"]),
+        ):
+            engine = create_engine(
+                "native", res.program, backend=backend, threads=2,
+                min_shard_words=1, rowwise_min_words=threshold,
+            )
+            assert engine.rowwise_min_words == threshold
+            stim = random_stimulus(graph, array_size=words, seed=0)
+            ref = evaluate_graph(graph, stim)
+            forms.clear()
+            out = engine.run(stim)
+            engine.close()
+            assert forms == expected, (backend, threshold)
+            for name, word in ref.items():
+                assert np.array_equal(out.outputs[name], word), name
 
 
 # ----------------------------------------------------------------------
@@ -523,8 +541,8 @@ class TestNativeProperties:
         array_size=st.integers(min_value=1, max_value=5),
     )
     def test_packed_stream_bit_identical(self, seed, array_size):
-        """The sequential stream semantics (hazard MOVs included) equal
-        the per-level fused semantics for arbitrary graphs."""
+        """The sequential stream semantics (hazard order, cycle MOVs)
+        equal the per-level fused semantics for arbitrary graphs."""
         g = random_dag(5, 45, 2, seed=seed)
         res = compile_ffcl(g, TINY)
         engine = create_engine("fused", res.program)
