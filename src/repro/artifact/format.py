@@ -381,8 +381,6 @@ class ExecutableArtifact:
         probe_seed: int = 0,
     ) -> "ExecutableArtifact":
         """Package a :class:`~repro.core.compiler.CompileResult`."""
-        from ..compiler.cache import graph_fingerprint
-
         if result.program is None:
             raise ValueError(
                 "the compile produced no program (no 'codegen' pass); "
@@ -400,7 +398,7 @@ class ExecutableArtifact:
             probe_seed=probe_seed,
             pipeline=pipeline,
             metrics=result.metrics.as_dict() if result.metrics else None,
-            workload_fingerprint=graph_fingerprint(result.source),
+            workload_fingerprint=result.source_fingerprint,
         )
 
     # ------------------------------------------------------------------

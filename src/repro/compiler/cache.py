@@ -42,24 +42,29 @@ def graph_fingerprint(graph: LogicGraph) -> str:
     history or object identity.  (:mod:`repro.serve.cache` re-exports this
     as the workload key of the program cache.)
     """
-    digest = hashlib.sha256()
     order = graph.topological_order()
     renumber = {nid: i for i, nid in enumerate(order)}
-    for nid in order:
-        fanins = tuple(renumber[f] for f in graph.fanins_of(nid))
-        digest.update(repr((renumber[nid], graph.op_of(nid), fanins)).encode())
+    nodes = graph.nodes
+    rows = []
+    for i, nid in enumerate(order):
+        node = nodes[nid]
+        rows.append(
+            repr((i, node.op, tuple(renumber[f] for f in node.fanins)))
+        )
     for nid in graph.inputs:
-        digest.update(repr(("pi", graph.input_name(nid), renumber[nid])).encode())
+        rows.append(repr(("pi", graph.input_name(nid), renumber[nid])))
     for name, nid in graph.outputs:
-        digest.update(repr(("po", name, renumber[nid])).encode())
-    return digest.hexdigest()
+        rows.append(repr(("po", name, renumber[nid])))
+    # One buffer, one update: the digest of the rows' concatenation.
+    return hashlib.sha256("".join(rows).encode()).hexdigest()
 
 
-def base_fingerprint(graph: LogicGraph) -> str:
-    """Starting fingerprint of a compile: graph content + display name."""
+def base_fingerprint(content: str, name: str) -> str:
+    """Starting fingerprint of a compile: the source graph's
+    :func:`graph_fingerprint` (``content``) + its display name."""
     digest = hashlib.sha256()
-    digest.update(graph_fingerprint(graph).encode())
-    digest.update(repr(graph.name).encode())
+    digest.update(content.encode())
+    digest.update(repr(name).encode())
     return digest.hexdigest()
 
 

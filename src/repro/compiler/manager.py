@@ -21,7 +21,12 @@ from typing import List, Optional, Sequence, Union
 
 from ..core.config import LPUConfig, PAPER_CONFIG
 from ..netlist.graph import LogicGraph
-from .cache import PassCache, base_fingerprint, chain_fingerprint
+from .cache import (
+    PassCache,
+    base_fingerprint,
+    chain_fingerprint,
+    graph_fingerprint,
+)
 from .passes import Pass, get_pass
 from .pipelines import PipelineSpec, resolve_pipeline
 from .state import CompileOptions, CompileState, PassRecord
@@ -66,11 +71,29 @@ class PassManager:
         graph: LogicGraph,
         config: LPUConfig = PAPER_CONFIG,
         options: CompileOptions = CompileOptions(),
+        source_fingerprint: Optional[str] = None,
     ) -> CompileState:
-        """Compile ``graph`` through the pipeline; returns the final state."""
-        state = CompileState(source=graph, config=config, options=options)
+        """Compile ``graph`` through the pipeline; returns the final state.
+
+        ``source_fingerprint`` is ``graph_fingerprint(graph)`` when the
+        caller has just computed it (a cache that keyed on it); the graph
+        is hashed here otherwise — once, and every later consumer (cache
+        chain, ``package``, ``CompileResult.to_artifact``) reads the state.
+        """
+        if source_fingerprint is None:
+            source_fingerprint = graph_fingerprint(graph)
+        state = CompileState(
+            source=graph,
+            config=config,
+            options=options,
+            source_fingerprint=source_fingerprint,
+        )
         cache = self.cache
-        fingerprint = base_fingerprint(graph) if cache is not None else ""
+        fingerprint = (
+            base_fingerprint(source_fingerprint, graph.name)
+            if cache is not None
+            else ""
+        )
 
         for pass_ in self.passes:
             if cache is not None:
@@ -164,4 +187,5 @@ def state_to_result(state: CompileState):
         metrics=state.metrics,
         pass_records=list(state.records),
         artifact=state.artifact,
+        source_fingerprint=state.source_fingerprint,
     )

@@ -38,8 +38,8 @@ from ..core.merge import merge_partition
 from ..core.metrics import CompileMetrics
 from ..core.partition import partition as partition_graph
 from ..core.schedule import build_schedule
-from ..synth.balance import balance
-from ..synth.levelize import is_levelized_strict, levelize
+from ..synth.balance import balance_with_levels
+from ..synth.levelize import levelize
 from ..synth.rebalance import balance_trees
 from ..synth.simplify import simplify as simplify_graph
 from ..synth.techmap import map_to_basis
@@ -134,13 +134,15 @@ class IngestPass(Pass):
 
     def run(self, state: CompileState) -> None:
         source = state.source
-        state.gates_in = source.num_gates
+        state.graph = source
+        state.gates_in = state.gate_count()
         state.depth_in = source.depth()
         # The optimization passes rebuild the graph anyway; the raw flow
         # must copy so downstream rewrites never touch the caller's graph.
-        state.graph = source if state.options.optimize else source.extract()
-        state.gates_after_simplify = state.graph.num_gates
-        state.gates_after_mapping = state.graph.num_gates
+        if not state.options.optimize:
+            state.graph = source.extract()
+        state.gates_after_simplify = state.gate_count()
+        state.gates_after_mapping = state.gate_count()
 
 
 @register_pass
@@ -166,10 +168,10 @@ class SimplifyPass(Pass):
     def run(self, state: CompileState) -> None:
         graph = state.require("graph", self.name)
         state.graph = simplify_graph(graph)
-        state.gates_after_simplify = state.graph.num_gates
+        state.gates_after_simplify = state.gate_count()
         # Mapping runs after simplification; until a techmap pass rewrites
         # the graph the mapped count equals the simplified count.
-        state.gates_after_mapping = state.graph.num_gates
+        state.gates_after_mapping = state.gate_count()
 
 
 @register_pass
@@ -187,7 +189,7 @@ class TechmapPass(Pass):
         graph = state.require("graph", self.name)
         if state.options.basis is not None:
             state.graph = map_to_basis(graph, state.options.basis)
-        state.gates_after_mapping = state.graph.num_gates
+        state.gates_after_mapping = state.gate_count()
 
 
 @register_pass
@@ -199,10 +201,10 @@ class BalancePass(Pass):
 
     def run(self, state: CompileState) -> None:
         graph = state.require("graph", self.name)
-        balanced, report = balance(graph)
-        assert is_levelized_strict(balanced)
+        balanced, report, level = balance_with_levels(graph)
         state.graph = balanced
         state.balance_report = report
+        state.balanced_levels = (balanced, level)
 
 
 @register_pass
@@ -217,7 +219,7 @@ class LevelizePass(Pass):
 
         graph = state.require("graph", self.name)
         balance_report = state.require("balance_report", self.name)
-        state.levels = levelize(graph)
+        state.levels = levelize(graph, state.levels_from_balance(graph))
         report = PreprocessReport(
             gates_in=state.require("gates_in", self.name),
             gates_after_simplify=state.require(
@@ -226,7 +228,7 @@ class LevelizePass(Pass):
             gates_after_mapping=state.require(
                 "gates_after_mapping", self.name
             ),
-            gates_out=graph.num_gates,
+            gates_out=state.gate_count(),
             depth_in=state.require("depth_in", self.name),
             depth_out=state.levels.max_level,
             balance=balance_report,
@@ -251,8 +253,12 @@ class PartitionPass(Pass):
 
     def run(self, state: CompileState) -> None:
         pre = state.require("preprocess", self.name)
+        from_balance = state.levels_from_balance(pre.graph) is not None
         part = partition_graph(
-            pre.graph, state.config.m, max_mfgs=state.options.max_mfgs
+            pre.graph,
+            state.config.m,
+            max_mfgs=state.options.max_mfgs,
+            levels=pre.levels if from_balance else None,
         )
         state.partition_unmerged = part
         state.partition = part
@@ -336,8 +342,8 @@ class MetricsPass(Pass):
             name=source.name,
             num_inputs=source.num_inputs,
             num_outputs=source.num_outputs,
-            gates_source=source.num_gates,
-            gates_balanced=pre.graph.num_gates,
+            gates_source=pre.report.gates_in,
+            gates_balanced=pre.report.gates_out,
             buffers_inserted=pre.report.balance.buffers_inserted,
             depth=pre.levels.max_level,
             mfgs_before_merge=part_unmerged.num_mfgs,
@@ -376,7 +382,6 @@ class PackagePass(Pass):
 
     def run(self, state: CompileState) -> None:
         from ..artifact.format import ExecutableArtifact
-        from .cache import graph_fingerprint
 
         program = state.require("program", self.name)
         pipeline = "+".join(
@@ -386,5 +391,5 @@ class PackagePass(Pass):
             program,
             pipeline=pipeline,
             metrics=state.metrics.as_dict() if state.metrics else None,
-            workload_fingerprint=graph_fingerprint(state.source),
+            workload_fingerprint=state.source_fingerprint,
         )

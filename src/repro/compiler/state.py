@@ -12,7 +12,7 @@ the per-pass report (wall time, cache hit, artifact sizes).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..core.codegen import Program
 from ..core.config import LPUConfig, PAPER_CONFIG
@@ -82,11 +82,18 @@ class CompileState:
     source: LogicGraph
     config: LPUConfig = PAPER_CONFIG
     options: CompileOptions = CompileOptions()
+    #: ``graph_fingerprint(source)``, hashed once when the compile starts.
+    source_fingerprint: str = ""
 
     #: the working netlist the pre-processing passes rewrite.
     graph: Optional[LogicGraph] = None
     levels: Optional[Levelization] = None
     balance_report: Optional[BalanceReport] = None
+    #: ``(balanced graph, node -> level)`` as the ``balance`` pass built
+    #: them: that graph object is strictly levelized, at these levels.
+    #: In no pass's ``provides``, so a graph that came from a cache (or
+    #: from a later rewrite) is levelized and checked the ordinary way.
+    balanced_levels: Optional[Tuple[LogicGraph, Dict[int, int]]] = None
 
     # Pre-processing bookkeeping (the PreprocessReport counters).
     gates_in: Optional[int] = None
@@ -107,6 +114,10 @@ class CompileState:
     artifact: Optional[object] = None
 
     records: List[PassRecord] = field(default_factory=list)
+    #: (working graph, its gate count): see :meth:`gate_count`.
+    _counted: Optional[Tuple[LogicGraph, int]] = field(
+        default=None, repr=False
+    )
 
     def require(self, field_name: str, needed_by: str) -> object:
         """Fetch an artifact, raising a pipeline-shaped error when absent."""
@@ -118,11 +129,28 @@ class CompileState:
             )
         return value
 
+    def levels_from_balance(
+        self, graph: LogicGraph
+    ) -> Optional[Dict[int, int]]:
+        """``graph``'s levels if it is the very object ``balance`` built."""
+        known = self.balanced_levels
+        if known is not None and known[0] is graph:
+            return known[1]
+        return None
+
+    def gate_count(self) -> int:
+        """``graph.num_gates`` of the working graph.  Passes replace that
+        graph, never edit it, so the node scan runs once per graph
+        object, not once per pass and report row."""
+        if self._counted is None or self._counted[0] is not self.graph:
+            self._counted = (self.graph, self.graph.num_gates)
+        return self._counted[1]
+
     def size_summary(self) -> Dict[str, int]:
         """Cheap artifact sizes for the per-pass report."""
         sizes: Dict[str, int] = {}
         if self.graph is not None:
-            sizes["gates"] = self.graph.num_gates
+            sizes["gates"] = self.gate_count()
         if self.levels is not None:
             sizes["depth"] = self.levels.max_level
         if self.partition_unmerged is not None:

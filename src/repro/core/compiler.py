@@ -57,6 +57,9 @@ class CompileResult:
     schedule: Schedule
     program: Optional[Program]
     metrics: CompileMetrics
+    #: ``graph_fingerprint(source)`` as hashed when the compile started
+    #: (the ``workload_fingerprint`` of every artifact packaged from it).
+    source_fingerprint: str
     #: per-pass instrumentation (wall time, cache hits, artifact sizes);
     #: a list of :class:`repro.compiler.PassRecord`.
     pass_records: List[object] = field(default_factory=list)
@@ -116,6 +119,7 @@ def compile_ffcl(
     pipeline: Optional[object] = None,
     codegen_workers: Optional[int] = None,
     pass_cache: Optional[object] = None,
+    source_fingerprint: Optional[str] = None,
 ) -> CompileResult:
     """Compile an FFCL block for the LPU.
 
@@ -138,6 +142,8 @@ def compile_ffcl(
             every value).
         pass_cache: optional :class:`repro.compiler.PassCache` memoizing
             per-pass results across compiles.
+        source_fingerprint: ``repro.compiler.graph_fingerprint(graph)`` if
+            the caller has just computed it, so it is not hashed again.
     """
     from ..compiler.manager import PassManager, state_to_result
     from ..compiler.pipelines import pipeline_from_options
@@ -154,5 +160,7 @@ def compile_ffcl(
         max_mfgs=max_mfgs,
         codegen_workers=codegen_workers,
     )
-    state = PassManager(pipeline, cache=pass_cache).run(graph, config, options)
+    state = PassManager(pipeline, cache=pass_cache).run(
+        graph, config, options, source_fingerprint=source_fingerprint
+    )
     return state_to_result(state)

@@ -28,7 +28,7 @@ it is the only mechanism that recovers shared logic.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Set
+from typing import Dict, List, Optional, Set
 
 from ..netlist import cells
 from ..netlist.graph import LogicGraph
@@ -91,7 +91,12 @@ def find_mfg(
         level -= 1
 
 
-def partition(graph: LogicGraph, m: int, max_mfgs: int = 500_000) -> Partition:
+def partition(
+    graph: LogicGraph,
+    m: int,
+    max_mfgs: int = 500_000,
+    levels: Optional[Levelization] = None,
+) -> Partition:
     """Algorithm 1: cover the network with MFGs, one BFS wave at a time.
 
     ``graph`` must be fully path-balanced.  Returns a :class:`Partition`
@@ -100,12 +105,20 @@ def partition(graph: LogicGraph, m: int, max_mfgs: int = 500_000) -> Partition:
 
     ``max_mfgs`` guards against pathological duplication blow-up on
     reconvergence-heavy graphs.
+
+    ``levels`` is the graph's levelization when it comes straight from
+    :func:`repro.synth.balance.balance_with_levels`, which has already
+    established strictness; any other graph is levelized and checked here.
     """
     if m < 1:
         raise ValueError("m (LPEs per LPV) must be positive")
-    if not is_levelized_strict(graph):
-        raise ValueError("partition() requires a fully path-balanced graph")
-    levels = levelize(graph)
+    if levels is None:
+        level = graph.levels()
+        if not is_levelized_strict(graph, level):
+            raise ValueError(
+                "partition() requires a fully path-balanced graph"
+            )
+        levels = levelize(graph, level)
 
     all_mfgs: List[MFG] = []
     queue: deque = deque()

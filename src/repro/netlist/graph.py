@@ -55,6 +55,7 @@ class LogicGraph:
         self._next_id = 0
         self._inputs: List[int] = []  # PI node ids, in declaration order
         self._outputs: List[Tuple[str, int]] = []  # (PO name, node id)
+        self._output_names: set = set()  # names in _outputs (see set_output)
         self._input_names: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
@@ -95,9 +96,12 @@ class LogicGraph:
         """Declare node ``nid`` as primary output ``name``."""
         if nid not in self.nodes:
             raise KeyError(f"node {nid} does not exist")
-        for existing, _ in self._outputs:
-            if existing == name:
-                raise ValueError(f"duplicate output name {name!r}")
+        if len(self._output_names) != len(self._outputs):
+            # ``_outputs`` was assigned directly (codec, copy): resync.
+            self._output_names = {existing for existing, _ in self._outputs}
+        if name in self._output_names:
+            raise ValueError(f"duplicate output name {name!r}")
+        self._output_names.add(name)
         self._outputs.append((name, nid))
 
     # ------------------------------------------------------------------
@@ -183,8 +187,13 @@ class LogicGraph:
         level have no connections between each other and can execute
         simultaneously.
         """
+        return self._levels_of(self.topological_order())
+
+    def _levels_of(self, order: Iterable[int]) -> Dict[int, int]:
+        """ASAP levels of the nodes in ``order``: a topological order of a
+        node set closed under fanin."""
         level: Dict[int, int] = {}
-        for nid in self.topological_order():
+        for nid in order:
             node = self.nodes[nid]
             if node.op in cells.SOURCE_OPS:
                 level[nid] = 0
@@ -193,10 +202,16 @@ class LogicGraph:
         return level
 
     def depth(self) -> int:
-        """Maximum logic level over the POs (0 for a source-only graph)."""
+        """Maximum logic level over the POs (0 for a source-only graph).
+
+        Levelizes only the POs' transitive fanin: dead logic cannot
+        change the answer, and generated netlists can be mostly dead.
+        """
         if not self._outputs:
             return 0
-        level = self.levels()
+        level = self._levels_of(
+            sorted(self.transitive_fanin(self.output_ids))
+        )
         return max(level[nid] for _, nid in self._outputs)
 
     def level_widths(self) -> Dict[int, int]:

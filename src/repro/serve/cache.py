@@ -305,7 +305,11 @@ class ProgramCache:
                     self.stats.disk_misses += 1
         if program is None:
             compile_result = compile_ffcl(
-                source, key.config, pass_cache=self.pass_cache, **compile_kwargs
+                source,
+                key.config,
+                pass_cache=self.pass_cache,
+                source_fingerprint=key.workload,
+                **compile_kwargs,
             )
             program = compile_result.program
             if program is None:  # pragma: no cover - compile_ffcl guards

@@ -43,7 +43,17 @@ class BalanceReport:
 
 
 def balance(graph: LogicGraph) -> Tuple[LogicGraph, BalanceReport]:
-    """Fully path-balance ``graph``; returns (balanced graph, report).
+    """Fully path-balance ``graph``; returns (balanced graph, report)."""
+    out, report, _ = balance_with_levels(graph)
+    return out, report
+
+
+def balance_with_levels(
+    graph: LogicGraph,
+) -> Tuple[LogicGraph, BalanceReport, Dict[int, int]]:
+    """:func:`balance`, plus the balanced graph's node -> level map (what
+    ``out.levels()`` would compute; balancing places every node on its
+    level, so it already has them).
 
     The result satisfies :func:`repro.synth.levelize.is_levelized_strict`:
     every gate's fanins are exactly one level below it and all POs sit at the
@@ -111,5 +121,7 @@ def balance(graph: LogicGraph) -> Tuple[LogicGraph, BalanceReport]:
         gates_before=src.num_gates,
         gates_after=out.num_gates,
     )
-    assert is_levelized_strict(out), "balance() must produce a strict netlist"
-    return out, report
+    assert is_levelized_strict(out, new_level), (
+        "balance() must produce a strict netlist"
+    )
+    return out, report, new_level

@@ -10,7 +10,7 @@ partitioner, scheduler, and code generator all consume this view.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from ..netlist import cells
 from ..netlist.graph import LogicGraph
@@ -42,9 +42,16 @@ class Levelization:
         return max(len(nodes) for nodes in self.by_level[1:])
 
 
-def levelize(graph: LogicGraph) -> Levelization:
-    """Compute the ASAP levelization of ``graph``."""
-    level = graph.levels()
+def levelize(
+    graph: LogicGraph, level: Optional[Dict[int, int]] = None
+) -> Levelization:
+    """Compute the ASAP levelization of ``graph``.
+
+    ``level`` is ``graph.levels()`` when the caller already has it (full
+    path balancing does); it is not recomputed then.
+    """
+    if level is None:
+        level = graph.levels()
     max_level = max(level.values(), default=0)
     by_level: List[List[int]] = [[] for _ in range(max_level + 1)]
     for nid in graph.topological_order():
@@ -52,15 +59,23 @@ def levelize(graph: LogicGraph) -> Levelization:
     return Levelization(level=level, by_level=by_level, max_level=max_level)
 
 
-def is_levelized_strict(graph: LogicGraph) -> bool:
+def is_levelized_strict(
+    graph: LogicGraph, level: Optional[Dict[int, int]] = None
+) -> bool:
     """True if every gate's fanins sit exactly one level below it and every
     PO sits at the maximum level — the property full path balancing
     establishes, which the paper requires before partitioning ("full path
     balancing guarantees no data dependencies exist between two non-adjacent
-    logic levels")."""
-    lv = graph.levels()
+    logic levels").
+
+    ``level`` is a claimed node -> level map to check instead of computing
+    ``graph.levels()``: sources at 0 and every fanin exactly one below
+    make it the ASAP levelization, so a wrong map cannot pass."""
+    lv = graph.levels() if level is None else level
     for nid, node in graph.nodes.items():
         if node.op in cells.SOURCE_OPS:
+            if lv[nid] != 0:
+                return False
             continue
         for fid in node.fanins:
             if lv[fid] != lv[nid] - 1:

@@ -61,7 +61,12 @@ from repro.models import (
 )
 from repro.netlist import cells, random_dag, random_tree
 from repro.netlist.graph import LogicGraph
-from repro.serve import InferenceServer, ProgramCache, naive_serve
+from repro.serve import (
+    InferenceServer,
+    ProgramCache,
+    ServeConfig,
+    naive_serve,
+)
 
 SMALL = LPUConfig(num_lpvs=4, lpes_per_lpv=8)
 TINY = LPUConfig(num_lpvs=2, lpes_per_lpv=4)
@@ -652,8 +657,11 @@ class TestSpawnBackend:
         ]
         direct = naive_serve(result.program, requests)
         with InferenceServer(
-            result.program, num_workers=1, backend="spawn",
-            max_batch_size=2, max_wait_ms=1.0,
+            result.program,
+            serving=ServeConfig(
+                num_workers=1, backend="spawn",
+                max_batch_size=2, max_wait_ms=1.0,
+            ),
         ) as server:
             assert server.pool.backend == "spawn"
             assert server.pool.artifact is not None

@@ -14,12 +14,18 @@ The load-bearing properties:
 * the serving-layer ProgramCache keys include the pipeline identity.
 """
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
 from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import goldens
 from repro.compiler import (
     PassCache,
     PassManager,
@@ -28,6 +34,7 @@ from repro.compiler import (
     compile_with_pipeline,
     format_pass_report,
     generate_program_parallel,
+    graph_fingerprint,
     pipeline_from_options,
     pipeline_id,
     resolve_pipeline,
@@ -683,3 +690,192 @@ class TestCLI:
         from repro.cli import main
 
         assert main(["passes"]) == 2
+
+
+# ----------------------------------------------------------------------
+# Live-cone / hash-once / level-once front end: identical artifacts from
+# less work.  Goldens were recorded at the commit before it (goldens.py).
+# ----------------------------------------------------------------------
+class TestFrontEndIdentity:
+    def test_graph_fingerprint_matches_recorded_corpus_draw(self):
+        root = pathlib.Path(__file__).resolve().parents[1]
+        recorded = json.loads(
+            (root / "bench" / "corpus_fingerprints.json").read_text()
+        )
+        g = random_dag(16, 24000, 8, seed=1)
+        assert graph_fingerprint(g) == recorded["0"]["dag24k"]
+
+    def test_artifacts_equal_parent(self):
+        """Three seeded ``random_dag`` draws (chains, dead-heavy), the
+        pass-cache hypothesis family and all seven ``all_models()``
+        workloads: artifact bytes and fingerprints as recorded at the
+        parent.  Runs in a child process with the hash seed the recording
+        used (``layer_block`` draws from ``hash(layer.name)``)."""
+        root = pathlib.Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONHASHSEED="0")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(root / "src")] + env.get("PYTHONPATH", "").split(os.pathsep)
+        )
+        proc = subprocess.run(
+            [sys.executable, goldens.__file__],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        found = json.loads(proc.stdout)
+        recorded = json.loads(pathlib.Path(goldens.GOLDENS).read_text())
+        assert len(recorded) == 3 + len(goldens.FAMILY_SEEDS) + 7
+        assert sorted(found) == sorted(recorded)
+        assert [n for n in found if found[n] != recorded[n]] == []
+
+    def test_partition_still_rejects_unbalanced_graph_passed_directly(self):
+        g = simplify(random_dag(6, 80, 3, seed=5))
+        assert not is_levelized_strict(g)
+        with pytest.raises(ValueError, match="fully path-balanced"):
+            partition(g, 8)
+
+    def test_rewrite_after_balance_is_rechecked_by_partition(self):
+        """Levels are trusted only for the very graph ``balance`` built: a
+        pass that replaces it afterwards sends ``partition`` back to its
+        own levelization and strictness check."""
+        unbalancing = "ingest,balance,rebalance,simplify,levelize,partition"
+        g = random_dag(6, 80, 3, seed=5)
+        with pytest.raises(ValueError, match="fully path-balanced"):
+            PassManager(unbalancing).run(g, SMALL)
+
+    def test_cached_balance_is_levelized_the_ordinary_way(self):
+        """The handed-on levels are not in any snapshot: when ``balance``
+        is served from the cache, ``levelize`` and ``partition`` compute
+        and check for themselves, to the same program."""
+        g = random_dag(8, 250, 3, seed=13)
+        cache = PassCache()
+        through_balance = PIPELINES["paper"][
+            : PIPELINES["paper"].index("balance") + 1
+        ]
+        PassManager(through_balance, cache=cache).run(g, SMALL)
+        state = PassManager("paper", cache=cache).run(g, SMALL)
+        hits = {r.name: r.cache_hit for r in state.records}
+        assert hits["balance"] and not hits["levelize"]
+        assert not hits["partition"]
+        assert state.balanced_levels is None
+        assert_programs_identical(
+            compile_ffcl(g, SMALL).program, state.program
+        )
+
+    def test_mutating_a_graph_between_compiles_is_seen(self):
+        """Nothing is memoized on the graph: the second compile hashes and
+        levelizes what the graph has become."""
+        g = random_dag(6, 150, 3, seed=83)
+        first = compile_ffcl(g, SMALL, pass_cache=PassCache())
+        g.set_output("extra", g.add_gate(cells.NOT, g.output_ids[0]))
+        second = compile_ffcl(g, SMALL, pass_cache=PassCache())
+        assert first.source_fingerprint != second.source_fingerprint
+        assert second.source_fingerprint == graph_fingerprint(g)
+        assert (
+            second.to_artifact().workload_fingerprint
+            == second.source_fingerprint
+        )
+        assert second.preprocess.levels.level == second.balanced.levels()
+        assert second.balanced.num_outputs == first.balanced.num_outputs + 1
+        assert is_levelized_strict(second.balanced)
+
+    def test_size_summary_counts_once_per_graph_same_values(self, monkeypatch):
+        from repro.compiler.state import CompileState
+
+        g = random_dag(8, 250, 3, seed=7)
+        memoized = PassManager("paper").run(g, SMALL).records
+        monkeypatch.setattr(
+            CompileState, "gate_count", lambda self: self.graph.num_gates
+        )
+        recounted = PassManager("paper").run(g, SMALL).records
+        assert [r.sizes for r in memoized] == [r.sizes for r in recounted]
+        gates = [r.sizes["gates"] for r in memoized]
+        assert len(set(gates)) > 2  # the count does follow the rewrites
+
+
+def count_fingerprints(monkeypatch):
+    """Every graph handed to ``graph_fingerprint`` from here on, through
+    any of the names the compiler, packager and serve cache call it by."""
+    import repro.compiler.cache as cache_module
+    import repro.compiler.manager as manager_module
+    import repro.serve.cache as serve_cache_module
+
+    hashed = []
+    real = cache_module.graph_fingerprint
+
+    def counting(graph):
+        hashed.append(graph)
+        return real(graph)
+
+    for module in (cache_module, manager_module, serve_cache_module):
+        monkeypatch.setattr(module, "graph_fingerprint", counting)
+    return hashed
+
+
+class TestFrontEndWorkCounts:
+    """Deterministic work bounds in place of a wall-clock floor."""
+
+    def test_program_cache_miss_hashes_the_source_once(
+        self, monkeypatch, tmp_path
+    ):
+        from repro.artifact import ArtifactStore
+
+        hashed = count_fingerprints(monkeypatch)
+        g = random_dag(8, 250, 3, seed=97)
+        cache = ProgramCache(store=ArtifactStore(str(tmp_path / "store")))
+        entry = cache.get_or_compile(g, SMALL)
+        assert hashed == [g]  # key, pass-cache chain and stored artifact
+        assert entry.artifact.workload_fingerprint == entry.key.workload
+        assert entry.compile_result.source_fingerprint == entry.key.workload
+
+    def test_one_hash_one_levelization_live_sized_rebalance(self, monkeypatch):
+        import repro.compiler.passes as passes_module
+        from repro.netlist.graph import LogicGraph
+
+        g = random_dag(8, 4000, 2, seed=3)
+        live_gates = sum(
+            1
+            for nid in g.transitive_fanin(g.output_ids)
+            if g.op_of(nid) in cells.LPE_OPS
+        )
+        assert live_gates * 4 < g.num_gates  # a dead-heavy draw
+
+        hashed = count_fingerprints(monkeypatch)
+
+        leveled = []
+        real_levels = LogicGraph.levels
+
+        def counting_levels(self):
+            leveled.append(self)
+            return real_levels(self)
+
+        monkeypatch.setattr(LogicGraph, "levels", counting_levels)
+
+        added = [0]
+        rebalance_adds = [0]
+        real_add_gate = LogicGraph.add_gate
+
+        def counting_add_gate(self, op, *fanins, name=None):
+            added[0] += 1
+            return real_add_gate(self, op, *fanins, name=name)
+
+        monkeypatch.setattr(LogicGraph, "add_gate", counting_add_gate)
+        real_balance_trees = passes_module.balance_trees
+
+        def counting_balance_trees(graph):
+            before = added[0]
+            try:
+                return real_balance_trees(graph)
+            finally:
+                rebalance_adds[0] += added[0] - before
+
+        monkeypatch.setattr(
+            passes_module, "balance_trees", counting_balance_trees
+        )
+
+        result = compile_ffcl(g, pass_cache=PassCache())
+        artifact = result.to_artifact()
+
+        assert hashed == [g]
+        assert artifact.workload_fingerprint == result.source_fingerprint
+        assert sum(1 for graph in leveled if graph is result.balanced) <= 1
+        # two rebalance passes, each building at most the live gates
+        assert 0 < rebalance_adds[0] <= 2 * live_gates

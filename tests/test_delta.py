@@ -31,7 +31,7 @@ from repro.engine.delta import DeltaEngine
 from repro.engine.fused import _PI_BASE
 from repro.lpu import evaluate_graph, random_stimulus
 from repro.netlist import random_dag
-from repro.serve import StreamingServer, make_stream
+from repro.serve import ServeConfig, StreamingServer, make_stream
 from repro.serve.pool import WorkerPool
 
 SMALL = LPUConfig(num_lpvs=4, lpes_per_lpv=8)
@@ -326,7 +326,9 @@ class TestStreamSession:
             for s in (1, 2, 3)
         ]
         fused = [Session(program, engine="fused") for _ in streams]
-        with StreamingServer(program, num_workers=2) as server:
+        with StreamingServer(
+            program, serving=ServeConfig(engine="delta", num_workers=2)
+        ) as server:
             sessions = [server.open_session() for _ in streams]
             assert sorted(server.stats()["open_sessions"]) == [1, 2]
             for step in range(5):
@@ -362,7 +364,9 @@ class TestStreamSession:
         program = _compiled().program
         stim = random_stimulus(program.graph, array_size=1, seed=8)
         expected = Session(program, engine="fused").run(stim)
-        with StreamingServer(program, engine="fused") as server:
+        with StreamingServer(
+            program, serving=ServeConfig(engine="fused")
+        ) as server:
             with server.open_session() as session:
                 assert not session.stateful
                 assert session.stats() == {}

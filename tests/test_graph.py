@@ -39,6 +39,21 @@ class TestConstruction:
         with pytest.raises(ValueError):
             g.set_output("y", g.inputs[0])
 
+    def test_duplicate_output_name_rejected_after_direct_assignment(self):
+        """``copy()`` and the artifact codec assign ``_outputs`` without
+        going through ``set_output``; the name index must catch up."""
+        from repro.artifact.codec import decode_graph, encode_graph
+
+        g = xor_graph()
+        for clone in (g.copy(), decode_graph(*encode_graph(g))):
+            with pytest.raises(ValueError, match="duplicate output name"):
+                clone.set_output("y", clone.inputs[0])
+            clone.set_output("z", clone.inputs[0])
+            with pytest.raises(ValueError, match="duplicate output name"):
+                clone.set_output("z", clone.inputs[1])
+            assert [name for name, _ in clone.outputs] == ["y", "z"]
+        assert [name for name, _ in g.outputs] == ["y"]
+
     def test_gate_requires_existing_fanins(self):
         g = LogicGraph()
         a = g.add_input("a")

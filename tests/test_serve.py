@@ -40,6 +40,7 @@ from repro.serve import (
     BatchScheduler,
     InferenceServer,
     ProgramCache,
+    ServeConfig,
     WorkerPool,
     graph_fingerprint,
     naive_serve,
@@ -772,9 +773,9 @@ class TestInferenceServer:
         served = serve(
             compiled.program,
             requests,
-            num_workers=2,
-            max_batch_size=6,
-            max_wait_ms=5.0,
+            serving=ServeConfig(
+                num_workers=2, max_batch_size=6, max_wait_ms=5.0
+            ),
         )
         assert len(served) == len(direct)
         for got, ref in zip(served, direct):
@@ -784,7 +785,8 @@ class TestInferenceServer:
         requests = _requests(compiled.program.graph, 32)
         session = Session(compiled.program)
         with InferenceServer(
-            compiled.program, num_workers=2, max_batch_size=8
+            compiled.program,
+            serving=ServeConfig(num_workers=2, max_batch_size=8),
         ) as server:
             with ThreadPoolExecutor(8) as executor:
                 results = list(executor.map(server.infer, requests))
@@ -802,14 +804,15 @@ class TestInferenceServer:
     def test_compiles_from_graph_through_cache(self):
         g = random_dag(5, 30, 2, seed=8)
         cache = ProgramCache()
-        with InferenceServer(g, TINY, cache=cache) as server:
+        serving = ServeConfig(cache=cache)
+        with InferenceServer(g, TINY, serving=serving) as server:
             result = server.infer(random_stimulus(g, 2, seed=0))
         reference = evaluate_graph(g, random_stimulus(g, 2, seed=0))
         for name, word in reference.items():
             assert np.array_equal(result.outputs[name], word)
         assert cache.stats.misses == 1
         # A second server over the same workload hits the cache.
-        with InferenceServer(g.copy(), TINY, cache=cache):
+        with InferenceServer(g.copy(), TINY, serving=serving):
             pass
         assert cache.stats.hits >= 1
 
@@ -826,10 +829,12 @@ class TestServeBench:
             requests=16,
             array_size=1,
             clients=4,
-            num_workers=2,
-            max_batch_size=8,
-            max_wait_ms=1.0,
-            cache=ProgramCache(),
+            serving=ServeConfig(
+                num_workers=2,
+                max_batch_size=8,
+                max_wait_ms=1.0,
+                cache=ProgramCache(),
+            ),
         )
         assert report["bit_identical"] is True
         assert report["requests"] == 16
@@ -900,8 +905,6 @@ class TestRequestDeadlines:
                     server.submit(request, deadline_ms=bad)
 
     def test_default_deadline_from_config(self, compiled):
-        from repro.serve import ServeConfig
-
         with InferenceServer(
             compiled.program,
             serving=ServeConfig(default_deadline_ms=60_000.0),

@@ -1,6 +1,8 @@
 """Tests for the synthesis passes: simplify, rebalance, techmap, levelize,
 balance (FPB), and the preprocess pipeline."""
 
+import heapq
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,101 @@ from repro.synth import (
     UnmappableError,
 )
 from repro.synth.rebalance import balance_trees
+
+
+def reference_balance_trees(graph):
+    """The full-traversal ``balance_trees`` from before the live-cone
+    rewrite, verbatim: rebuild every node, dead and absorbed ones
+    included, then ``extract()`` the live part."""
+    associative = (cells.AND, cells.OR, cells.XOR)
+    fanouts = graph.fanouts()
+    po_nodes = set(graph.output_ids)
+    out = LogicGraph(graph.name)
+    remap = {}
+    depth_of = {}
+
+    def new_gate(op, *fanins, name=None):
+        nid = out.add_gate(op, *fanins, name=name)
+        depth_of[nid] = 1 + max(depth_of[f] for f in fanins)
+        return nid
+
+    def chain_leaves(nid, op, leaves):
+        for fid in graph.fanins_of(nid):
+            if (
+                graph.op_of(fid) == op
+                and len(fanouts[fid]) == 1
+                and fid not in po_nodes
+            ):
+                chain_leaves(fid, op, leaves)
+            else:
+                leaves.append(fid)
+
+    def build_tree(op, leaf_ids):
+        heap = [
+            (depth_of[remap[l]], i, remap[l])
+            for i, l in enumerate(leaf_ids)
+        ]
+        heapq.heapify(heap)
+        counter = len(heap)
+        while len(heap) > 1:
+            da, _, a = heapq.heappop(heap)
+            db, _, b = heapq.heappop(heap)
+            nid = new_gate(op, a, b)
+            counter += 1
+            heapq.heappush(heap, (depth_of[nid], counter, nid))
+        return heap[0][2]
+
+    for nid in graph.topological_order():
+        node = graph.nodes[nid]
+        if node.op == cells.INPUT:
+            assert node.name is not None
+            new_id = out.add_input(node.name)
+            depth_of[new_id] = 0
+            remap[nid] = new_id
+        elif node.op in (cells.CONST0, cells.CONST1):
+            new_id = out.add_const(1 if node.op == cells.CONST1 else 0)
+            depth_of[new_id] = 0
+            remap[nid] = new_id
+        elif node.op in associative:
+            leaves = []
+            chain_leaves(nid, node.op, leaves)
+            remap[nid] = build_tree(node.op, leaves)
+        else:
+            remap[nid] = new_gate(
+                node.op, *(remap[f] for f in node.fanins), name=node.name
+            )
+
+    for name, nid in graph.outputs:
+        out.set_output(name, remap[nid])
+    return out.extract()
+
+
+def assert_same_graph(a, b):
+    """Node for node: ids, ops, fanins, names, PI and PO lists."""
+    assert a.nodes == b.nodes
+    assert list(a.nodes) == list(b.nodes)
+    assert a.inputs == b.inputs
+    assert a.outputs == b.outputs
+    assert a.name == b.name
+
+
+def with_dead_and_chain_cases(graph, seed):
+    """Add what ``random_dag`` never draws: constants (one dead, one
+    live), a dead PI, a dead consumer of a chain-internal node, and a PO
+    on a chain-internal node."""
+    g = graph.copy()
+    g.add_input("dead_pi")
+    g.add_const(seed & 1)  # dead constant
+    one = g.add_const(1)
+    a, b, c = g.inputs[:3]
+    inner = g.add_gate(cells.AND, a, b)
+    mid = g.add_gate(cells.AND, inner, c)
+    root = g.add_gate(cells.AND, mid, one)
+    g.add_gate(cells.NOT, inner)  # dead, but pins inner out of the chain
+    g.set_output("chain_root", root)
+    if seed & 2:
+        g.set_output("chain_mid", mid)
+    return g
 
 
 class TestSimplify:
@@ -136,6 +233,46 @@ class TestRebalance:
     def test_never_deepens(self, seed):
         g = random_dag(8, 70, 3, seed=seed)
         assert balance_trees(g).depth() <= g.depth()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        gates=st.integers(min_value=1, max_value=400),
+        outputs=st.integers(min_value=1, max_value=6),
+        locality=st.sampled_from([0, 0, 2, 3, 8]),
+        extras=st.booleans(),
+    )
+    def test_live_cone_equals_full_traversal(
+        self, seed, gates, outputs, locality, extras
+    ):
+        """Few outputs over many gates leaves most of a draw dead;
+        ``locality`` draws the long single-op chains."""
+        g = random_dag(5, gates, outputs, seed=seed, locality=locality)
+        if extras:
+            g = with_dead_and_chain_cases(g, seed)
+        once = balance_trees(g)
+        assert_same_graph(once, reference_balance_trees(g))
+        assert_same_graph(
+            balance_trees(once), reference_balance_trees(once)
+        )
+
+    def test_dead_consumer_still_blocks_chain_collapse(self):
+        g = LogicGraph()
+        a, b, c = (g.add_input(n) for n in "abc")
+        inner = g.add_gate(cells.AND, a, b)
+        g.set_output("y", g.add_gate(cells.AND, inner, c))
+        g.add_gate(cells.NOT, inner)  # dead second fanout of ``inner``
+        bal = balance_trees(g)
+        assert_same_graph(bal, reference_balance_trees(g))
+        assert bal.num_gates == 2 and bal.dangling_nodes() == set()
+
+    def test_long_chain_needs_no_recursion(self):
+        g = LogicGraph()
+        acc = g.add_input("x0")
+        for i in range(1, 3000):
+            acc = g.add_gate(cells.XOR, acc, g.add_input(f"x{i}"))
+        g.set_output("y", acc)
+        assert balance_trees(g).depth() == 12  # ceil(log2(3000))
 
 
 class TestTechmap:
