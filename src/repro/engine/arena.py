@@ -25,7 +25,7 @@ else's schedule.
 from __future__ import annotations
 
 from multiprocessing import shared_memory
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 

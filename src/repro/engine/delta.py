@@ -34,6 +34,23 @@ Results are **bit-identical to the fused engine — outputs and
 statistics** — for any stream history: a clean instruction's recorded row
 equals what recomputation would produce, by induction over levels.
 
+**Output contract.**  A state keeps its outputs across steps: a sparse
+step replaces (never writes to) the entries whose row the sweep or a
+changed input dirtied, a dense run or a rebind rebuilds them all.  So
+outputs are read-only arrays; entries that did not change are the same
+arrays as in the previous result; earlier results are never mutated.
+A step that raises invalidates the state (the next one runs densely).
+
+What one step costs (µs; ``nid_stack``, 437 PIs, 300 POs, 1-bit flips,
+≈ 12.6 gates re-executed — the stream of ``bench/run.py --workload
+stream_sparse``, parts timed in a bare loop over one engine)::
+
+    gather 437 words into ``incoming``   67    (WordGather, in place)
+    diff + dirty-cone sweep              46
+    result (dict copy + patched rows)     3    (1.4 rows patched a step)
+    engine step                         115    (122 in the traced probe)
+    served step, wall                   340    (two sessions on one CPU)
+
 State and threading: one :class:`DeltaEngine` owns a default
 :class:`DeltaState` behind the engine run lock, so ``Session.run`` works
 unchanged (each call is one stream step).  Independent streams — e.g.
@@ -56,7 +73,7 @@ from ..core.liveness import FusedProgram, adopt_fusion, fuse_trace
 from ..core.trace import TraceProgram, lower_program
 from ..lpu.simulator import SimulationResult
 from ..netlist import cells
-from .base import ExecutionEngine, register_engine
+from .base import ExecutionEngine, WordGather, register_engine, table_result
 from .fused import (
     _PI_BASE,
     ROWWISE_MIN_WORDS,
@@ -76,14 +93,17 @@ class DeltaState:
     words, and stream counters.
 
     Buffers bind lazily to the first run's batch shape; a shape change
-    rebinds them and forces one full dense run.
+    rebinds them and forces one full dense run.  ``outputs`` is the
+    current value of every primary output as read-only arrays, patched
+    (entries replaced, never written to) by sparse steps and rebuilt by
+    dense ones; ``None`` until the next dense run rebuilds it.
     """
 
     __slots__ = (
         "shape", "ws", "values", "rows", "pi_block", "prev",
-        "incoming", "valid", "runs", "full_runs", "clean_runs",
-        "sparse_runs", "dense_fallback_runs", "dense_levels",
-        "sparse_instructions",
+        "incoming", "outputs", "buckets", "valid", "runs", "full_runs",
+        "clean_runs", "sparse_runs", "dense_fallback_runs",
+        "dense_levels", "sparse_instructions",
     )
 
     def __init__(self) -> None:
@@ -94,6 +114,8 @@ class DeltaState:
         self.pi_block = None
         self.prev = None
         self.incoming = None
+        self.outputs: Optional[Dict[str, np.ndarray]] = None
+        self.buckets: List[set] = []
         self.valid = False
         self.runs = 0
         self.full_runs = 0
@@ -103,8 +125,14 @@ class DeltaState:
         self.dense_levels = 0
         self.sparse_instructions = 0
 
-    def bind(self, tables: FanoutTables, shape: Tuple[int, ...]) -> None:
-        self.shape = shape
+    def incoming_for(
+        self, tables: FanoutTables, shape: Tuple[int, ...]
+    ) -> np.ndarray:
+        """The block the next step's words are gathered into, binding
+        the buffers first when the batch shape changed."""
+        if self.shape == shape:
+            return self.incoming
+        self.shape = None  # until every buffer below exists
         self.ws = ws = _Workspace(tables.dense, shape)
         # the sparse sweep's hot loop reads these without the extra hop
         self.values, self.rows, self.pi_block = (
@@ -113,11 +141,19 @@ class DeltaState:
         num_pi = len(tables.pi_rows)
         self.prev = np.empty((num_pi,) + shape, dtype=_WORD)
         self.incoming = np.empty((num_pi,) + shape, dtype=_WORD)
-        self.valid = False
+        # the sparse sweep's dirty instructions per level, each emptied
+        # as its level is swept: a step reaches a handful of levels
+        self.buckets = [set() for _ in tables.dense.levels]
+        self.invalidate()
+        self.shape = shape
+        return self.incoming
 
     def invalidate(self) -> None:
         """Forget the stream history (the next run executes densely)."""
         self.valid = False
+        self.outputs = None
+        for bucket in self.buckets:  # a sweep that raised left some
+            bucket.clear()
 
     @property
     def nbytes(self) -> int:
@@ -207,22 +243,27 @@ class DeltaEngine(ExecutionEngine):
             self.dense_level_min = int(dense_level_min)
 
         tables = self.tables
-        self._pi_names = list(tables.pi_rows)
+        self._pi = WordGather(tables.pi_rows)
         self._num_pinned = tables.num_pinned
         self._out_names = list(tables.output_rows)
         self._out_rows = np.array(
             [tables.output_rows[n] for n in self._out_names], dtype=np.intp
         )
+        # row -> the output names it carries (several names may share a
+        # row, and a row may be a PI): what a sparse step patches
+        self._row_outputs: Dict[int, List[str]] = {}
+        for name, row in tables.output_rows.items():
+            self._row_outputs.setdefault(row, []).append(name)
+        self._po_rows = frozenset(self._row_outputs)
         # Python-native views of the flat tables: the sparse sweep is a
         # Python loop over dirty gids, and list indexing beats ndarray
         # item access there by a wide margin.
         self._a = tables.a_row.tolist()
         self._b = tables.b_row.tolist()
         op_table = sorted(cells.ALL_OPS)
-        self._func = [cells.WORD_FUNCS[op_table[c]]
-                      for c in tables.op_code.tolist()]
-        self._two = [cells.arity(op_table[c]) == 2
-                     for c in tables.op_code.tolist()]
+        ops = [op_table[c] for c in tables.op_code.tolist()]
+        self._func = [cells.WORD_FUNCS[op] for op in ops]
+        self._two = [cells.arity(op) == 2 for op in ops]
         starts = tables.level_start.tolist()
         self._level_start = starts
         self._gid_level = [0] * tables.num_instructions
@@ -259,64 +300,6 @@ class DeltaEngine(ExecutionEngine):
         self._state = DeltaState()
 
     # ------------------------------------------------------------------
-    # Input handling (identical contract to the fused engine)
-    # ------------------------------------------------------------------
-    def _gather_block(
-        self, inputs: Dict[str, np.ndarray]
-    ) -> Tuple[np.ndarray, Tuple[int, ...], bool]:
-        """The incoming words as one ``(num_pi,) + shape`` uint64 block.
-
-        Same contract as the fused engine's gather (missing-input
-        KeyError, mismatched-shape ValueError, 0-d promotion) but one
-        C-level conversion instead of a Python loop per primary input —
-        fixed per-step overhead is what bounds streaming speedup.
-        """
-        names = self._pi_names
-        if not names:
-            return np.empty((0, 1), dtype=_WORD), (1,), False
-        try:
-            values = [inputs[name] for name in names]
-        except KeyError as exc:
-            raise KeyError(
-                f"missing value for primary input {exc.args[0]!r}"
-            ) from None
-        try:
-            block = np.asarray(values, dtype=_WORD)
-        except ValueError:
-            # Ragged shapes land here, but so can per-word conversion
-            # errors — replay word-by-word so each raises its own
-            # precise exception, as the fused engine's gather would.
-            self._gather_check(values)
-            raise
-        if block.ndim == 1:  # every word was 0-d: promote, squeeze later
-            return block.reshape(len(names), 1), (1,), True
-        return block, block.shape[1:], False
-
-    @staticmethod
-    def _gather_check(values) -> None:
-        shape: Optional[Tuple[int, ...]] = None
-        for word in values:
-            word = np.asarray(word, dtype=_WORD)
-            if shape is None:
-                shape = word.shape
-            elif word.shape != shape:
-                raise ValueError("all PI arrays must share one shape")
-
-    def _result(self, state: DeltaState) -> SimulationResult:
-        trace = self.trace
-        out_block = state.values.take(self._out_rows, 0)
-        outputs = dict(zip(self._out_names, out_block))
-        return SimulationResult(
-            outputs=outputs,
-            macro_cycles=trace.macro_cycles,
-            clock_cycles=trace.clock_cycles,
-            compute_instructions_executed=trace.compute_instructions,
-            switch_routes=trace.switch_routes,
-            peak_buffer_words=trace.peak_buffer_words,
-            buffer_writes=trace.buffer_writes,
-        )
-
-    # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
     def new_state(self) -> DeltaState:
@@ -351,60 +334,70 @@ class DeltaEngine(ExecutionEngine):
     def run_with_state(
         self, inputs: Dict[str, np.ndarray], state: DeltaState
     ) -> SimulationResult:
-        """One stream step over an explicit state (caller-serialized)."""
-        block, shape, squeeze = self._gather_block(inputs)
-        if state.shape != shape:
-            state.bind(self.tables, shape)
+        """One stream step over an explicit state (caller-serialized).
+
+        Output entries whose value the step did not change are the same
+        read-only arrays as in the previous result; earlier results are
+        never mutated."""
+        _block, squeeze = self._pi.gather(
+            inputs, lambda shape: state.incoming_for(self.tables, shape)
+        )
         state.runs += 1
-        num_pi = block.shape[0]
-        if num_pi:
-            state.incoming[...] = block
-        if not state.valid:
-            state.full_runs += 1
-            self._run_dense(state)
-        else:
-            changed = np.flatnonzero(
-                (state.incoming != state.prev)
-                .reshape(num_pi, -1).any(axis=1)
-            ) if num_pi else np.empty(0, dtype=np.intp)
-            if not len(changed):
-                state.clean_runs += 1
-            elif len(changed) >= self.dense_input_fraction * num_pi:
-                state.dense_fallback_runs += 1
+        try:
+            if not state.valid:
+                state.full_runs += 1
                 self._run_dense(state)
             else:
-                state.sparse_runs += 1
-                self._run_sparse(state, changed)
-        result = self._result(state)
-        if squeeze:
-            for name in result.outputs:
-                result.outputs[name] = result.outputs[name].reshape(())
-        return result
+                num_pi = len(state.incoming)
+                changed = (
+                    (state.incoming != state.prev)
+                    .reshape(num_pi, -1).any(axis=1).nonzero()[0]
+                ) if num_pi else ()
+                if not len(changed):
+                    state.clean_runs += 1
+                elif len(changed) >= self.dense_input_fraction * num_pi:
+                    state.dense_fallback_runs += 1
+                    self._run_dense(state)
+                else:
+                    state.sparse_runs += 1
+                    self._run_sparse(state, changed.tolist())
+        except BaseException:
+            # rows already hold part of the new step while ``prev`` still
+            # holds the old one: a later diff would see "unchanged" and
+            # never propagate, so the history must go
+            state.invalidate()
+            raise
+        return table_result(self.trace, dict(state.outputs), squeeze)
 
     # ------------------------------------------------------------------
     # Execution paths
     # ------------------------------------------------------------------
     def _run_dense(self, state: DeltaState) -> None:
-        """Bind every input and run the dense view like a fused program."""
+        """Bind every input and run the dense view like a fused program;
+        every output is read afresh (one ``take``)."""
         if state.pi_block.shape[0]:
             state.pi_block[...] = state.incoming
         run_levels(state.ws, self.rowwise_min_words)
+        out_block = state.values.take(self._out_rows, 0)
+        out_block.flags.writeable = False
+        state.outputs = dict(zip(self._out_names, out_block))
         state.prev, state.incoming = state.incoming, state.prev
         state.valid = True
 
-    def _run_sparse(self, state: DeltaState, changed: np.ndarray) -> None:
-        """Dirty-frontier sweep: execute only the changed cone."""
+    def _run_sparse(self, state: DeltaState, changed: List[int]) -> None:
+        """Dirty-frontier sweep: execute only the changed cone, then
+        patch the outputs whose row it (or a changed input) dirtied."""
         rows = state.rows
         num_pinned = self._num_pinned
         consumers = self._consumers
         gid_level = self._gid_level
         a_row, b_row = self._a, self._b
         funcs, two = self._func, self._two
-        buckets: List[set] = [set() for _ in self._level_plan]
-        changed_list = changed.tolist()
-        state.pi_block[changed_list] = state.incoming[changed_list]
-        for i in changed_list:
-            for g in consumers[_PI_BASE + i]:
+        buckets = state.buckets
+        state.pi_block[changed] = state.incoming[changed]
+        touched = [_PI_BASE + i for i in changed]
+        for row in touched:
+            for g in consumers[row]:
                 buckets[gid_level[g]].add(g)
         starts = self._level_start
         # One-word batches (the streaming sweet spot) compare and write
@@ -438,9 +431,17 @@ class DeltaEngine(ExecutionEngine):
                             continue
                         out[...] = new
                     dirty.append(num_pinned + g)
+            bucket.clear()
             for row in dirty:
                 for g in consumers[row]:
                     buckets[gid_level[g]].add(g)
+            touched += dirty
+        outputs = state.outputs
+        for row in self._po_rows.intersection(touched):
+            word = rows[row].copy()
+            word.flags.writeable = False
+            for name in self._row_outputs[row]:
+                outputs[name] = word
         state.sparse_instructions += executed
         state.prev, state.incoming = state.incoming, state.prev
 

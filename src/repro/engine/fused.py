@@ -70,7 +70,7 @@ from ..core.stream import OP_MOV, OP_NOT, STREAM_FUNCS, pack_stream
 from ..core.trace import _NUM_CONST_SLOTS, TraceProgram, lower_program
 from ..lpu.simulator import SimulationResult
 from ..netlist import cells
-from .base import ExecutionEngine, register_engine
+from .base import ExecutionEngine, WordGather, register_engine, table_result
 
 _WORD = np.uint64
 
@@ -472,10 +472,10 @@ class FusedEngine(ExecutionEngine):
         # Thread-PARALLEL serving still wants one engine per worker,
         # which is what WorkerPool builds.
         self._run_lock = threading.Lock()
-        self._pi_names = list(self.fused.pi_regs)
+        self._pi = WordGather(self.fused.pi_regs)
         # PI registers are pinned to one contiguous block by the
-        # allocator, so binding is a single concatenate into that block;
-        # the row-by-row fallback guards the invariant anyway.
+        # allocator, so the gather writes straight into that block; the
+        # row-by-row fallback guards the invariant anyway.
         regs = list(self.fused.pi_regs.values())
         self._pi_contiguous = regs == list(
             range(_PI_BASE, _PI_BASE + len(regs))
@@ -484,27 +484,6 @@ class FusedEngine(ExecutionEngine):
             OrderedDict()
 
     # ------------------------------------------------------------------
-    def _gather_inputs(
-        self, inputs: Dict[str, np.ndarray]
-    ) -> Tuple[List[np.ndarray], Tuple[int, ...]]:
-        """The PI words in register order, plus their common shape."""
-        words: List[np.ndarray] = []
-        shape: Optional[Tuple[int, ...]] = None
-        for name in self._pi_names:
-            try:
-                word = inputs[name]
-            except KeyError:
-                raise KeyError(
-                    f"missing value for primary input {name!r}"
-                ) from None
-            word = np.asarray(word, dtype=_WORD)
-            if shape is None:
-                shape = word.shape
-            elif word.shape != shape:
-                raise ValueError("all PI arrays must share one shape")
-            words.append(word)
-        return words, shape if shape is not None else (1,)
-
     def workspace(self, shape: Tuple[int, ...]) -> _Workspace:
         """The (pre)allocated workspace for one batch shape."""
         ws = self._workspaces.get(shape)
@@ -517,59 +496,42 @@ class FusedEngine(ExecutionEngine):
             self._workspaces.move_to_end(shape)
         return ws
 
-    def _bind_inputs(
-        self, ws: _Workspace, words: List[np.ndarray]
-    ) -> None:
-        if not words:
-            return
+    def _pi_block(self, shape: Tuple[int, ...]) -> np.ndarray:
+        """Where the gather writes a batch of this shape: the
+        workspace's pinned PI rows (call under the run lock)."""
         if self._pi_contiguous:
-            # One C-level assignment stacks every PI word into the
-            # pinned PI block (numpy converts the list in one pass).
-            ws.pi_block[...] = words
-            return
-        rows = ws.rows
-        for reg, word in zip(self.fused.pi_regs.values(), words):
-            np.copyto(rows[reg], word)
+            return self.workspace(shape).pi_block
+        return self._pi.fresh_block(shape)
 
-    def _result(self, ws: _Workspace) -> SimulationResult:
-        trace = self.trace
+    def _bind(
+        self, inputs: Dict[str, np.ndarray]
+    ) -> Tuple[_Workspace, bool]:
+        """Gather ``inputs`` into the workspace of their batch shape
+        (before every run: the allocator reuses PI registers once they
+        are consumed).  Returns the workspace and the squeeze flag."""
+        block, squeeze = self._pi.gather(inputs, self._pi_block)
+        return self._workspace_of(block), squeeze
+
+    def _workspace_of(self, block: np.ndarray) -> _Workspace:
+        ws = self.workspace(block.shape[1:])
+        if not self._pi_contiguous:
+            for reg, word in zip(self.fused.pi_regs.values(), block):
+                np.copyto(ws.rows[reg], word)
+        return ws
+
+    def _outputs(self, ws: _Workspace) -> Dict[str, np.ndarray]:
         rows = ws.rows
-        outputs = {
+        return {
             name: rows[reg].copy()
             for name, reg in self.fused.output_regs.items()
         }
-        return SimulationResult(
-            outputs=outputs,
-            macro_cycles=trace.macro_cycles,
-            clock_cycles=trace.clock_cycles,
-            compute_instructions_executed=trace.compute_instructions,
-            switch_routes=trace.switch_routes,
-            peak_buffer_words=trace.peak_buffer_words,
-            buffer_writes=trace.buffer_writes,
-        )
-
-    @staticmethod
-    def _promote_scalars(words, shape):
-        """0-d (scalar-per-PI) stimulus runs as a one-word batch — row
-        views of a 1-D value table would be numpy scalars, which ufunc
-        ``out=`` rejects.  Outputs are squeezed back to 0-d afterwards,
-        matching the trace engine's shapes exactly."""
-        if shape != ():
-            return words, shape, False
-        return [word.reshape(1) for word in words], (1,), True
 
     def run(self, inputs: Dict[str, np.ndarray]) -> SimulationResult:
-        words, shape = self._gather_inputs(inputs)
-        words, shape, squeeze = self._promote_scalars(words, shape)
         with self._run_lock:
-            ws = self.workspace(shape)
-            self._bind_inputs(ws, words)
+            ws, squeeze = self._bind(inputs)
             run_levels(ws, self.rowwise_min_words)
-            result = self._result(ws)
-        if squeeze:
-            for name in result.outputs:
-                result.outputs[name] = result.outputs[name].reshape(())
-        return result
+            outputs = self._outputs(ws)
+        return table_result(self.trace, outputs, squeeze)
 
     # ------------------------------------------------------------------
     def profile_levels(
@@ -583,27 +545,27 @@ class FusedEngine(ExecutionEngine):
         level), accumulating over ``repeats`` runs — so the per-level
         shares reflect production execution, not an interpreted
         re-execution."""
-        words, shape = self._gather_inputs(inputs)
-        words, shape, _squeeze = self._promote_scalars(words, shape)
         with self._run_lock:
-            ws = self.workspace(shape)
             times = np.zeros(len(self.fused.levels), dtype=np.float64)
             for _ in range(max(1, int(repeats))):
-                self._bind_inputs(ws, words)
+                ws, _squeeze = self._bind(inputs)
                 kernel_name = run_levels(ws, self.rowwise_min_words, times)
-            records: List[Dict[str, object]] = []
-            for index, level in enumerate(self.fused.levels):
-                records.append(
-                    {
-                        "level": index,
-                        "cycle": level.cycle,
-                        "instructions": level.num_instructions,
-                        "segments": len(level.segments),
-                        "seconds": float(times[index]),
-                        "kernel": kernel_name,
-                    }
-                )
-        return records
+        return self._level_records(times, kernel=kernel_name)
+
+    def _level_records(
+        self, seconds: np.ndarray, **extra
+    ) -> List[Dict[str, object]]:
+        return [
+            {
+                "level": index,
+                "cycle": level.cycle,
+                "instructions": level.num_instructions,
+                "segments": len(level.segments),
+                "seconds": float(seconds[index]),
+                **extra,
+            }
+            for index, level in enumerate(self.fused.levels)
+        ]
 
     # ------------------------------------------------------------------
     def calibrate_crossover(
@@ -633,11 +595,7 @@ class FusedEngine(ExecutionEngine):
                 stim = random_stimulus(
                     self.program.graph, array_size=words_n, seed=seed
                 )
-                bound = [
-                    np.asarray(stim[name], dtype=_WORD)
-                    for name in self._pi_names
-                ]
-                ws = self.workspace((words_n,))
+                ws, _squeeze = self._bind(stim)
                 timings = {}
                 # a threshold no batch reaches forces the vector kernel,
                 # one every batch reaches the rowwise form
@@ -647,7 +605,7 @@ class FusedEngine(ExecutionEngine):
                     run_levels(ws, threshold)
                     best = float("inf")
                     for _ in range(max(1, int(repeats))):
-                        self._bind_inputs(ws, bound)
+                        self._bind(stim)
                         start = time.perf_counter()
                         run_levels(ws, threshold)
                         best = min(best, time.perf_counter() - start)

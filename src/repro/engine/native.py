@@ -63,7 +63,7 @@ from ..core.stream import (
 )
 from ..core.trace import TraceProgram
 from ..lpu.simulator import SimulationResult
-from .base import register_engine
+from .base import register_engine, table_result
 from .fused import _WORD, FusedEngine, _Workspace, run_levels
 
 __all__ = [
@@ -369,20 +369,6 @@ class NativeEngine(FusedEngine):
             pass
 
     # -- shared pieces -------------------------------------------------
-    def _stats_result(
-        self, outputs: Dict[str, np.ndarray]
-    ) -> SimulationResult:
-        trace = self.trace
-        return SimulationResult(
-            outputs=outputs,
-            macro_cycles=trace.macro_cycles,
-            clock_cycles=trace.clock_cycles,
-            compute_instructions_executed=trace.compute_instructions,
-            switch_routes=trace.switch_routes,
-            peak_buffer_words=trace.peak_buffer_words,
-            buffer_writes=trace.buffer_writes,
-        )
-
     def _shard_count(self, num_words: int) -> int:
         return max(
             1, min(self.threads, num_words // self.min_shard_words)
@@ -410,17 +396,38 @@ class NativeEngine(FusedEngine):
             self._shard_ws[key] = ws
         return ws
 
+    def _off_workspace(self, num_words: int) -> bool:
+        """True when this batch runs through a sharded or stream backend
+        rather than the inherited single-thread workspace."""
+        return self.backend in ("cupy", "numba") or (
+            self.backend == "threaded" and self._shard_count(num_words) > 1
+        )
+
+    def _pi_block(self, shape: Tuple[int, ...]) -> np.ndarray:
+        # those backends read a free-standing block, flattened to
+        # (num_pi, num_words), from which every shard copies its columns
+        if self._off_workspace(math.prod(shape)):
+            return self._pi.fresh_block(shape)
+        return super()._pi_block(shape)
+
     # -- threaded word-shard backend -----------------------------------
-    def _bind_shard(self, ws, flat, lo: int, hi: int) -> None:
+    def _bind_shard(self, ws, flat: np.ndarray, lo: int, hi: int) -> None:
         if self._pi_contiguous:
-            ws.pi_block[...] = [word[lo:hi] for word in flat]
+            ws.pi_block[...] = flat[:, lo:hi]
         else:
             for reg, word in zip(self.fused.pi_regs.values(), flat):
                 np.copyto(ws.rows[reg], word[lo:hi])
 
     def _run_threaded(
-        self, flat: List[np.ndarray], num_words: int, shards: int
+        self,
+        flat: np.ndarray,
+        num_words: int,
+        shards: int,
+        shard_times: Optional[np.ndarray] = None,
+        repeats: int = 1,
     ) -> Dict[str, np.ndarray]:
+        """Every shard on its own thread and workspace; ``shard_times``
+        (per-level seconds, one row per shard) makes the runs timed."""
         bounds = [
             num_words * t // shards for t in range(shards + 1)
         ]
@@ -433,8 +440,10 @@ class NativeEngine(FusedEngine):
         def run_shard(t: int) -> None:
             lo, hi = bounds[t], bounds[t + 1]
             ws = self._shard_workspace(t, (hi - lo,))
-            self._bind_shard(ws, flat, lo, hi)
-            run_levels(ws, self.rowwise_min_words)
+            times = None if shard_times is None else shard_times[t]
+            for _ in range(repeats):
+                self._bind_shard(ws, flat, lo, hi)
+                run_levels(ws, self.rowwise_min_words, times)
             for name, reg in out_items:
                 outputs[name][lo:hi] = ws.rows[reg]
 
@@ -460,14 +469,12 @@ class NativeEngine(FusedEngine):
             self._stream_values[num_words] = values
         return values
 
-    def _bind_stream(
-        self, values: np.ndarray, flat: List[np.ndarray]
-    ) -> None:
+    def _bind_stream(self, values: np.ndarray, flat: np.ndarray) -> None:
         for reg, word in zip(self.fused.pi_regs.values(), flat):
             np.copyto(values[reg], word)
 
     def _run_numba(
-        self, flat: List[np.ndarray], num_words: int
+        self, flat: np.ndarray, num_words: int
     ) -> Dict[str, np.ndarray]:
         stream = pack_stream(self.fused)
         kernel = _load_numba_kernel()
@@ -501,7 +508,7 @@ class NativeEngine(FusedEngine):
         return tables
 
     def _run_cupy(
-        self, flat: List[np.ndarray], num_words: int
+        self, flat: np.ndarray, num_words: int
     ) -> Dict[str, np.ndarray]:
         cupy = _load_cupy()
         tables = self._cupy_tables(cupy)
@@ -511,20 +518,14 @@ class NativeEngine(FusedEngine):
         values[0] = 0
         values[1] = _WORD(0xFFFFFFFFFFFFFFFF)
         pi_regs = list(self.fused.pi_regs.values())
-        if not pi_regs:
-            host_block = np.empty((0, num_words), dtype=_WORD)
-        else:
-            host_block = np.stack(
-                [np.ascontiguousarray(w) for w in flat]
-            )
         if pi_regs and pi_regs == list(
             range(pi_regs[0], pi_regs[0] + len(pi_regs))
         ):
             values[pi_regs[0]:pi_regs[0] + len(pi_regs)] = (
-                cupy.asarray(host_block)
+                cupy.asarray(flat)
             )
         else:  # pragma: no cover - foreign register layouts
-            for reg, word in zip(pi_regs, host_block):
+            for reg, word in zip(pi_regs, flat):
                 values[reg] = cupy.asarray(word)
         block = 256
         grid = (num_words + block - 1) // block
@@ -543,40 +544,31 @@ class NativeEngine(FusedEngine):
 
     # -- dispatch ------------------------------------------------------
     def run(self, inputs: Dict[str, np.ndarray]) -> SimulationResult:
-        words, shape = self._gather_inputs(inputs)
-        words, shape, squeeze = self._promote_scalars(words, shape)
-        num_words = int(math.prod(shape))
         with self._run_lock:
-            outputs = None
-            if self.backend in ("cupy", "numba", "threaded"):
-                flat = [word.reshape(-1) for word in words]
+            block, squeeze = self._pi.gather(inputs, self._pi_block)
+            shape = block.shape[1:]
+            num_words = math.prod(shape)
+            if self._off_workspace(num_words):
+                flat = block.reshape(len(block), num_words)
                 if self.backend == "cupy":
                     outputs = self._run_cupy(flat, num_words)
                 elif self.backend == "numba":
                     outputs = self._run_numba(flat, num_words)
                 else:
-                    shards = self._shard_count(num_words)
-                    if shards > 1:
-                        outputs = self._run_threaded(
-                            flat, num_words, shards
-                        )
-            if outputs is not None:
+                    outputs = self._run_threaded(
+                        flat, num_words, self._shard_count(num_words)
+                    )
                 outputs = {
                     name: np.ascontiguousarray(word).reshape(shape)
                     for name, word in outputs.items()
                 }
-                result = self._stats_result(outputs)
             else:
                 # Terminal fallback (and the threaded backend's small-
                 # batch crossover): single-thread fused execution.
-                ws = self.workspace(shape)
-                self._bind_inputs(ws, words)
+                ws = self._workspace_of(block)
                 run_levels(ws, self.rowwise_min_words)
-                result = self._result(ws)
-        if squeeze:
-            for name in result.outputs:
-                result.outputs[name] = result.outputs[name].reshape(())
-        return result
+                outputs = self._outputs(ws)
+        return table_result(self.trace, outputs, squeeze)
 
     # -- profiling -----------------------------------------------------
     def profile_levels(
@@ -590,112 +582,61 @@ class NativeEngine(FusedEngine):
         per-level sub-stream launches; everything else inherits the
         fused profile.  Records carry a ``backend`` key.
         """
-        words, shape = self._gather_inputs(inputs)
-        num_words = int(math.prod(shape)) if shape != () else 1
-        backend = self.backend
-        if backend == "threaded" and self._shard_count(num_words) > 1:
-            records = self._profile_threaded(inputs, repeats=repeats)
-        elif backend in ("numba", "cupy"):
-            records = self._profile_stream(inputs, repeats=repeats)
-        else:
+        with self._run_lock:
+            block, _squeeze = self._pi.gather(inputs, self._pi_block)
+            flat = block.reshape(len(block), -1)
+            if not self._off_workspace(flat.shape[1]):
+                records = None
+            elif self.backend == "threaded":
+                records = self._profile_threaded(flat, repeats)
+            else:
+                records = self._profile_stream(flat, repeats)
+        if records is None:
             records = super().profile_levels(inputs, repeats=repeats)
         for record in records:
-            record["backend"] = backend
+            record["backend"] = self.backend
         return records
 
     def _profile_threaded(
-        self, inputs: Dict[str, np.ndarray], *, repeats: int = 1
+        self, flat: np.ndarray, repeats: int
     ) -> List[Dict[str, object]]:
-        words, shape = self._gather_inputs(inputs)
-        words, shape, _squeeze = self._promote_scalars(words, shape)
-        num_words = int(math.prod(shape))
-        num_levels = len(self.fused.levels)
-        with self._run_lock:
-            shards = self._shard_count(num_words)
-            flat = [word.reshape(-1) for word in words]
-            bounds = [
-                num_words * t // shards for t in range(shards + 1)
-            ]
-            shard_times = np.zeros(
-                (shards, num_levels), dtype=np.float64
-            )
-
-            def profile_shard(t: int) -> None:
-                lo, hi = bounds[t], bounds[t + 1]
-                ws = self._shard_workspace(t, (hi - lo,))
-                for _ in range(max(1, int(repeats))):
-                    self._bind_shard(ws, flat, lo, hi)
-                    run_levels(
-                        ws, self.rowwise_min_words, shard_times[t]
-                    )
-
-            executor = self._ensure_executor()
-            futures = [
-                executor.submit(profile_shard, t)
-                for t in range(shards)
-            ]
-            for future in futures:
-                future.result()
-            critical = shard_times.max(axis=0)
-            records: List[Dict[str, object]] = []
-            for index, level in enumerate(self.fused.levels):
-                records.append(
-                    {
-                        "level": index,
-                        "cycle": level.cycle,
-                        "instructions": level.num_instructions,
-                        "segments": len(level.segments),
-                        "seconds": float(critical[index]),
-                        "kernel": "threaded-shards",
-                        "shards": shards,
-                    }
-                )
-        return records
+        num_words = flat.shape[1]
+        shards = self._shard_count(num_words)
+        shard_times = np.zeros(
+            (shards, len(self.fused.levels)), dtype=np.float64
+        )
+        self._run_threaded(
+            flat, num_words, shards, shard_times, max(1, int(repeats))
+        )
+        return self._level_records(
+            shard_times.max(axis=0), kernel="threaded-shards", shards=shards
+        )
 
     def _profile_stream(
-        self, inputs: Dict[str, np.ndarray], *, repeats: int = 1
+        self, flat: np.ndarray, repeats: int
     ) -> List[Dict[str, object]]:
         import time
 
-        words, shape = self._gather_inputs(inputs)
-        words, shape, _squeeze = self._promote_scalars(words, shape)
-        num_words = int(math.prod(shape))
         stream = pack_stream(self.fused)
-        with self._run_lock:
-            flat = [word.reshape(-1) for word in words]
-            values = self._stream_table(num_words)
-            kernel = (
-                _load_numba_kernel() if self.backend == "numba" else None
-            )
-            times = np.zeros(stream.num_levels, dtype=np.float64)
-            for _ in range(max(1, int(repeats))):
-                self._bind_stream(values, flat)
-                for index in range(stream.num_levels):
-                    s = int(stream.level_starts[index])
-                    e = int(stream.level_starts[index + 1])
-                    start = time.perf_counter()
-                    if kernel is not None:
-                        kernel(
-                            stream.ops[s:e], stream.a_reg[s:e],
-                            stream.b_reg[s:e], stream.out_reg[s:e],
-                            values, NUMBA_BLOCK_WORDS,
-                        )
-                    else:  # cupy profiles through the host interpreter
-                        execute_stream(stream, values, s, e)
-                    times[index] += time.perf_counter() - start
-            records: List[Dict[str, object]] = []
-            for index, level in enumerate(self.fused.levels):
-                records.append(
-                    {
-                        "level": index,
-                        "cycle": level.cycle,
-                        "instructions": level.num_instructions,
-                        "segments": len(level.segments),
-                        "seconds": float(times[index]),
-                        "kernel": "stream",
-                    }
-                )
-        return records
+        values = self._stream_table(flat.shape[1])
+        kernel = _load_numba_kernel() if self.backend == "numba" else None
+        times = np.zeros(stream.num_levels, dtype=np.float64)
+        for _ in range(max(1, int(repeats))):
+            self._bind_stream(values, flat)
+            for index in range(stream.num_levels):
+                s = int(stream.level_starts[index])
+                e = int(stream.level_starts[index + 1])
+                start = time.perf_counter()
+                if kernel is not None:
+                    kernel(
+                        stream.ops[s:e], stream.a_reg[s:e],
+                        stream.b_reg[s:e], stream.out_reg[s:e],
+                        values, NUMBA_BLOCK_WORDS,
+                    )
+                else:  # cupy profiles through the host interpreter
+                    execute_stream(stream, values, s, e)
+                times[index] += time.perf_counter() - start
+        return self._level_records(times, kernel="stream")
 
     # -- diagnostics ---------------------------------------------------
     def backend_stats(self) -> Dict[str, object]:

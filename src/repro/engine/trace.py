@@ -27,7 +27,7 @@ from ..core.codegen import Program
 from ..core.trace import TraceProgram, lower_program
 from ..netlist import cells
 from ..lpu.simulator import SimulationResult
-from .base import ExecutionEngine, register_engine
+from .base import ExecutionEngine, WordGather, register_engine, table_result
 
 _WORD = np.uint64
 
@@ -62,39 +62,28 @@ class TraceEngine(ExecutionEngine):
             )
             for level in self.trace.levels
         ]
+        self._pi = WordGather(self.trace.pi_slots)
+        self._pi_slots = list(self.trace.pi_slots.values())
 
     # ------------------------------------------------------------------
-    def _gather_inputs(
+    def _fresh_values(
         self, inputs: Dict[str, np.ndarray]
-    ) -> Tuple[Dict[str, np.ndarray], Tuple[int, ...]]:
-        words: Dict[str, np.ndarray] = {}
-        shape: Optional[Tuple[int, ...]] = None
-        for name in self.trace.pi_slots:
-            if name not in inputs:
-                raise KeyError(f"missing value for primary input {name!r}")
-            word = np.asarray(inputs[name], dtype=_WORD)
-            if shape is None:
-                shape = word.shape
-            elif word.shape != shape:
-                raise ValueError("all PI arrays must share one shape")
-            words[name] = word
-        return words, shape if shape is not None else (1,)
-
-    def _fresh_values(self, inputs: Dict[str, np.ndarray]) -> np.ndarray:
+    ) -> Tuple[np.ndarray, bool]:
         """A value table with constants and PI words bound (one run's
-        mutable state — shared by run() and profile_levels())."""
-        trace = self.trace
-        words, shape = self._gather_inputs(inputs)
-        values = np.empty((trace.num_slots,) + shape, dtype=_WORD)
+        mutable state — shared by run() and profile_levels()), plus the
+        gather's squeeze flag."""
+        block, squeeze = self._pi.gather(inputs)
+        values = np.empty(
+            (self.trace.num_slots,) + block.shape[1:], dtype=_WORD
+        )
         values[0] = 0
         values[1] = _WORD(0xFFFFFFFFFFFFFFFF)
-        for name, slot in trace.pi_slots.items():
-            values[slot] = words[name]
-        return values
+        values[self._pi_slots] = block
+        return values, squeeze
 
     def run(self, inputs: Dict[str, np.ndarray]) -> SimulationResult:
         trace = self.trace
-        values = self._fresh_values(inputs)
+        values, squeeze = self._fresh_values(inputs)
 
         for out_start, a_index, b_index, segments in self._levels:
             a = values[a_index]
@@ -109,22 +98,14 @@ class TraceEngine(ExecutionEngine):
             name: values[slot].copy()
             for name, slot in trace.output_slots.items()
         }
-        return SimulationResult(
-            outputs=outputs,
-            macro_cycles=trace.macro_cycles,
-            clock_cycles=trace.clock_cycles,
-            compute_instructions_executed=trace.compute_instructions,
-            switch_routes=trace.switch_routes,
-            peak_buffer_words=trace.peak_buffer_words,
-            buffer_writes=trace.buffer_writes,
-        )
+        return table_result(trace, outputs, squeeze)
 
     def profile_levels(
         self, inputs: Dict[str, np.ndarray]
     ) -> List[Dict[str, object]]:
         """Per-level wall time of one run (the diagnostic view behind
         ``repro throughput --json``)."""
-        values = self._fresh_values(inputs)
+        values, _squeeze = self._fresh_values(inputs)
         records = []
         # The loop body mirrors run()'s level execution exactly, with a
         # timer around each level — keep the two in sync.

@@ -269,6 +269,150 @@ class TestDeltaStateMachine:
             session.run(bad)
 
 
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    @pytest.mark.parametrize("nth", [1, 2, 3, 5, 8])
+    def test_step_that_raises_invalidates_the_state(self, error, nth):
+        """A sweep that dies mid-way has rewritten some rows while the
+        previous words are still the old ones: without invalidation the
+        next diff re-executes gates whose rows already hold the new
+        value, sees "unchanged" and never propagates.  From the next
+        step on the stream must be bit-identical to fused again."""
+        program = _compiled().program
+        stream = make_stream(program.graph, steps=8, flip_bits=3, seed=31)
+        fused = Session(program, engine="fused")
+        engine = DeltaEngine(program, dense_input_fraction=1.5)
+        state = engine.new_state()
+        for stim in stream[:3]:
+            _assert_step_equal(
+                fused.run(stim), engine.run_with_state(stim, state)
+            )
+        calls = []
+
+        def poisoned(real):
+            def func(*operands):
+                calls.append(real)
+                if len(calls) == nth:
+                    raise error("poisoned word function")
+                return real(*operands)
+            return func
+
+        healthy = engine._func
+        engine._func = [poisoned(func) for func in healthy]
+        with pytest.raises(error, match="poisoned"):
+            engine.run_with_state(stream[3], state)
+        engine._func = healthy
+        assert not state.valid and state.outputs is None
+        full_runs = state.full_runs
+        # the failed step again, then the rest of the stream
+        for i, stim in enumerate(stream[3:]):
+            _assert_step_equal(
+                fused.run(stim), engine.run_with_state(stim, state), i
+            )
+        assert state.full_runs == full_runs + 1
+        assert state.sparse_runs >= 2 + len(stream[4:])
+
+    def test_every_result_of_a_mixed_stream_stays_intact(self):
+        """Sparse steps patch the per-state outputs instead of rebuilding
+        them, so a result shares arrays with its predecessors.  Hold
+        EVERY result of a stream that mixes sparse, clean, whole-run
+        dense, per-level dense, reset and shape-rebind steps and judge
+        them all only after the last step: none may have been touched.
+        The graph has an output wired straight to an input, two names on
+        one gate, and constant outputs."""
+        graph = random_dag(10, 120, 6, seed=5)
+        graph.set_output("wire", graph.inputs[3])
+        graph.set_output("twin", graph.outputs[0][1])
+        program = compile_ffcl(graph, SMALL).program
+        engine = DeltaEngine(
+            program, dense_level_min=2, dense_level_fraction=0.3
+        )
+        rows = engine.tables.output_rows
+        assert rows["wire"] == engine.tables.pi_rows["x3"]
+        assert rows["twin"] == rows["y0"]
+
+        def flips(base, count, seed):
+            rng = np.random.default_rng(seed)
+            stim = {name: words.copy() for name, words in base.items()}
+            for name in rng.choice(sorted(stim), size=count, replace=False):
+                stim[name][rng.integers(stim[name].size)] ^= np.uint64(
+                    1 << int(rng.integers(64))
+                )
+            return stim
+
+        steps = [random_stimulus(graph, array_size=1, seed=1)]   # full
+        for i in range(6):                                       # sparse
+            steps.append(flips(steps[-1], 1 + i % 3, seed=i))
+        steps.append(steps[-1])                                  # clean
+        steps.append(flips(steps[-1], 1, seed=50))
+        steps.append(random_stimulus(graph, array_size=1, seed=2))  # dense
+        steps.append(flips(steps[-1], 4, seed=51))
+        steps.append("reset")
+        steps.append(flips(steps[-2], 1, seed=52))               # full
+        steps.append(flips(steps[-1], 1, seed=53))
+        steps.append(random_stimulus(graph, array_size=3, seed=3))  # rebind
+        for i in range(4):                                       # n-word
+            steps.append(flips(steps[-1], 1 + i % 2, seed=60 + i))
+        steps.append(steps[0])                                   # rebind
+        steps.append(flips(steps[0], 1, seed=70))
+
+        state = engine.new_state()
+        held = []
+        for step in steps:
+            if isinstance(step, str):
+                engine.reset(state)
+                continue
+            before = state.clean_runs
+            result = engine.run_with_state(step, state)
+            if state.clean_runs > before:
+                # nothing changed: the very same arrays as last time
+                assert all(
+                    word is held[-1][1].outputs[name]
+                    for name, word in result.outputs.items()
+                )
+            held.append((step, result))
+        counters = state.counters()
+        assert counters["full_runs"] == 4
+        assert counters["clean_runs"] == 1
+        assert counters["dense_fallback_runs"] >= 1
+        assert counters["dense_levels"] >= 1
+        assert counters["sparse_runs"] >= 12
+        assert counters["sparse_instructions"] > 0
+
+        fused = Session(program, engine="fused")
+        for i, (stim, result) in enumerate(held):
+            expected = fused.run(stim)
+            _assert_step_equal(expected, result, i)
+            for name, word in result.outputs.items():
+                assert word.shape == expected.outputs[name].shape
+                with pytest.raises(ValueError, match="read-only"):
+                    word[...] = 0
+        # fused hands out fresh, writable arrays every run
+        again = fused.run(held[-1][0])
+        for name, word in again.outputs.items():
+            assert word is not expected.outputs[name]
+            word[...] = 0
+
+    def test_scalar_outputs_of_a_patched_stream(self):
+        """0-d stimulus squeezes views of the shared arrays: still
+        read-only, still intact afterwards."""
+        program = _compiled().program
+        graph = program.graph
+        base = random_stimulus(graph, array_size=1, seed=6)
+        name = sorted(base)[0]
+        stims = []
+        for i in range(4):
+            stim = {n: w.reshape(())[()] for n, w in base.items()}
+            stim[name] = stim[name] ^ np.uint64(1 << i)
+            stims.append(stim)
+        delta = Session(program, engine="delta")
+        held = [delta.run(stim) for stim in stims]
+        fused = Session(program, engine="fused")
+        for stim, result in zip(stims, held):
+            _assert_step_equal(fused.run(stim), result)
+            for word in result.outputs.values():
+                assert word.shape == () and not word.flags.writeable
+
+
 # ----------------------------------------------------------------------
 class TestArtifactFanout:
     def test_fanout_embedded_and_round_trip(self):
