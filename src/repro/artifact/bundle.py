@@ -40,6 +40,7 @@ from .codec import (
     ArtifactDecodeError,
     content_fingerprint,
     decode_probes,
+    decoded,
     encode_probes,
     pack_container,
     unpack_container,
@@ -391,37 +392,10 @@ class ArtifactBundle:
                 "artifact fingerprint mismatch: the container is corrupt "
                 f"(header says {expected!r}, content hashes to {actual!r})"
             )
-        try:
-            manifest = header["bundle"]
-            members = []
-            links = []
-            for entry in manifest["stages"]:
-                member = ExecutableArtifact.from_bytes(
-                    arrays[entry["array"]].tobytes()
-                )
-                members.append(member)
-                links.append(
-                    StageLink(
-                        name=str(entry["name"]),
-                        wiring=tuple(
-                            sorted(
-                                (str(pi), str(po))
-                                for pi, po in entry["wiring"].items()
-                            )
-                        ),
-                        external=tuple(
-                            str(name) for name in entry["external"]
-                        ),
-                    )
-                )
-            probes = None
-            if header.get("probes") is not None:
-                probes = decode_probes(dict(header["probes"]), arrays)
-        except (ArtifactDecodeError, KeyError, ValueError, TypeError) as exc:
-            raise ArtifactError(f"undecodable bundle: {exc}") from exc
+        members, links, probes = decoded(cls._decode_manifest, header, arrays)
         bundle = cls(
-            members=tuple(members),
-            links=tuple(links),
+            members=members,
+            links=links,
             name=str(header.get("name", "bundle")),
             probes=probes,
             producer=str(header.get("producer", "")),
@@ -435,6 +409,33 @@ class ArtifactBundle:
             [dict(link.wiring) for link in bundle.links[1:]],
         )
         return bundle
+
+    @staticmethod
+    def _decode_manifest(header, arrays):
+        members = []
+        links = []
+        for entry in header["bundle"]["stages"]:
+            members.append(
+                ExecutableArtifact.from_bytes(
+                    arrays[entry["array"]].tobytes()
+                )
+            )
+            links.append(
+                StageLink(
+                    name=str(entry["name"]),
+                    wiring=tuple(
+                        sorted(
+                            (str(pi), str(po))
+                            for pi, po in dict(entry["wiring"]).items()
+                        )
+                    ),
+                    external=tuple(str(name) for name in entry["external"]),
+                )
+            )
+        probes = None
+        if header.get("probes") is not None:
+            probes = decode_probes(dict(header["probes"]), arrays)
+        return tuple(members), tuple(links), probes
 
     def save(self, path: str) -> str:
         """Write the bundle atomically; returns the path written."""

@@ -34,22 +34,31 @@ import json
 import zipfile
 import zlib
 from dataclasses import fields, is_dataclass
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.codegen import Program
+from ..core.codegen import DeferredProgram, Program
 from ..core.config import LPUConfig
 from ..core.fanout import FanoutTables
 from ..core.isa import LPEInstruction, decode_instruction, encode_instruction
 from ..core.liveness import FusedLevel, FusedProgram
 from ..core.schedule import RuntimeSchedule
-from ..core.trace import OpSegment, TraceLevel, TraceProgram, _NUM_CONST_SLOTS
+from ..core.trace import (
+    DeferredTraceProgram,
+    OpSegment,
+    TraceLevel,
+    TraceProgram,
+    _NUM_CONST_SLOTS,
+)
 from ..netlist import cells
-from ..netlist.graph import LogicGraph
+from ..netlist.graph import LogicGraph, Node
 
 __all__ = [
     "ArtifactDecodeError",
+    "ArtifactError",
+    "decoded",
     "decode_fanout",
     "decode_fused",
     "decode_graph",
@@ -71,6 +80,34 @@ __all__ = [
 
 class ArtifactDecodeError(RuntimeError):
     """The byte stream is not a valid artifact container."""
+
+
+class ArtifactError(RuntimeError):
+    """The bytes are not a loadable artifact (corrupt, wrong format, or an
+    incompatible format version)."""
+
+
+#: every way decoding a section of a well-formed container can fail: a
+#: missing key or array, a value of the wrong type, shape or range.
+_DECODE_FAILURES = (
+    ArtifactDecodeError,
+    KeyError,
+    ValueError,
+    IndexError,
+    TypeError,
+    OverflowError,
+)
+
+
+def decoded(decode, *args):
+    """``decode(*args)``, with every decode failure raised as the typed
+    :class:`ArtifactError`.  The one wrapper around section decoding: at
+    load for the sections a boot runs, at first read for the deferred
+    ones, and for a bundle's manifest."""
+    try:
+        return decode(*args)
+    except _DECODE_FAILURES as exc:
+        raise ArtifactError(f"undecodable artifact: {exc}") from exc
 
 
 #: fixed ZIP member timestamp: containers must be byte-deterministic.
@@ -211,36 +248,65 @@ def decode_graph(
     arrays: Dict[str, np.ndarray],
     prefix: str = "graph",
 ) -> LogicGraph:
-    """Rebuild a graph with its exact node ids, names, and interface."""
-    from ..netlist.graph import Node
+    """Rebuild a graph with its exact node ids, names, and interface.
 
-    op_table = list(header["ops"])
-    node_ids = arrays[f"{prefix}_ids"].tolist()
-    ops = arrays[f"{prefix}_ops"].tolist()
-    fanin_a = arrays[f"{prefix}_fanin_a"].tolist()
-    fanin_b = arrays[f"{prefix}_fanin_b"].tolist()
-    gate_names = {int(k): v for k, v in dict(header["gate_names"]).items()}
-    input_names = {int(nid): name for name, nid in header["inputs"]}
+    The interface (name, PI and PO lists) is decoded here; the node table
+    — a dataclass per node, which the table engines never read — decodes
+    and is validated on the first read of ``graph.nodes``, where a
+    failure is an :class:`ArtifactError`.
+    """
+    inputs = [(str(name), int(nid)) for name, nid in header["inputs"]]
+    outputs = [(str(name), int(nid)) for name, nid in header["outputs"]]
+    return LogicGraph.from_interface(
+        str(header["name"]),
+        inputs,
+        outputs,
+        int(header["next_id"]),
+        partial(
+            decoded,
+            _decode_nodes,
+            list(header["ops"]),
+            {nid: name for name, nid in inputs},
+            outputs,
+            {int(k): v for k, v in dict(header["gate_names"]).items()},
+            *(
+                arrays[f"{prefix}_{column}"]
+                for column in ("ids", "ops", "fanin_a", "fanin_b")
+            ),
+        ),
+    )
 
-    graph = LogicGraph(str(header["name"]))
-    for row, nid in enumerate(node_ids):
-        op = op_table[ops[row]]
+
+def _decode_nodes(
+    op_table: List[str],
+    input_names: Dict[int, str],
+    outputs: List[Tuple[str, int]],
+    gate_names: Dict[int, str],
+    node_ids: np.ndarray,
+    ops: np.ndarray,
+    fanin_a: np.ndarray,
+    fanin_b: np.ndarray,
+) -> Dict[int, Node]:
+    """The node table of :func:`decode_graph`, from its four columns,
+    checked against the interface the graph already holds."""
+    # zip() would stop at the shortest column; a short one is an error.
+    if not len(node_ids) == len(ops) == len(fanin_a) == len(fanin_b):
+        raise ArtifactDecodeError("graph columns differ in length")
+    nodes: Dict[int, Node] = {}
+    for nid, code, a, b in zip(
+        node_ids.tolist(), ops.tolist(), fanin_a.tolist(), fanin_b.tolist()
+    ):
+        op = op_table[code]
         fanins: Tuple[int, ...] = ()
-        if fanin_a[row] != _NONE:
-            fanins = (fanin_a[row],)
-            if fanin_b[row] != _NONE:
-                fanins = (fanin_a[row], fanin_b[row])
+        if a != _NONE:
+            fanins = (a,) if b == _NONE else (a, b)
         name = input_names.get(nid) if op == cells.INPUT else \
             gate_names.get(nid)
         # Nodes are installed directly (not through add_gate) so the
         # original — possibly non-dense — id assignment survives exactly.
-        graph.nodes[nid] = Node(op, fanins, name)
-    graph._next_id = int(header["next_id"])
-    graph._inputs = [int(nid) for _, nid in header["inputs"]]
-    graph._input_names = {name: int(nid) for name, nid in header["inputs"]}
-    graph._outputs = [(name, int(nid)) for name, nid in header["outputs"]]
-    graph.validate()
-    return graph
+        nodes[nid] = Node(op, fanins, name)
+    LogicGraph.check_structure(nodes, input_names, outputs)
+    return nodes
 
 
 # ----------------------------------------------------------------------
@@ -343,6 +409,13 @@ def encode_program(
     return header, arrays
 
 
+#: the arrays :func:`_decode_tables` reads, in its argument order.
+_PROGRAM_TABLES = (
+    "queue_lpv", "queue_addr", "queue_words", "queue_nodes",
+    "input_reads", "circulation_reads", "buffer_writes",
+)
+
+
 def decode_program(
     header: Dict[str, object], arrays: Dict[str, np.ndarray]
 ) -> Program:
@@ -352,6 +425,13 @@ def decode_program(
     the compile-time MFG DAG is not part of the executable format — and is
     bit-identical to the original under both execution engines (outputs
     and run statistics).
+
+    Config, schedule, PO tables and the graph interface are decoded here.
+    The instruction queues, the buffer-traffic tables and the graph's
+    node table are what the cycle engine, the lowering and
+    ``evaluate_graph`` read and what a boot from embedded tables never
+    does: they decode on their first read, where a failure is an
+    :class:`ArtifactError`.
     """
     config = LPUConfig(
         num_lpvs=int(header["config"]["num_lpvs"]),
@@ -359,25 +439,55 @@ def decode_program(
         switch_stages=int(header["config"]["switch_stages"]),
         frequency_hz=float(header["config"]["frequency_hz"]),
     )
-    graph = decode_graph(dict(header["graph"]), arrays)
     sched = dict(header["schedule"])
-    schedule = RuntimeSchedule(
+    return DeferredProgram.deferring(
+        ("queues", "input_reads", "circulation_reads", "buffer_writes"),
+        partial(
+            decoded, _decode_tables, *(arrays[n] for n in _PROGRAM_TABLES)
+        ),
         config=config,
-        makespan=int(sched["makespan"]),
-        base_address=int(sched["base_address"]),
-        policy=str(sched["policy"]),
-        circulations=int(sched["circulations"]),
-        queue_depth=int(sched["queue_depth"]),
+        graph=decode_graph(dict(header["graph"]), arrays),
+        schedule=RuntimeSchedule(
+            config=config,
+            makespan=int(sched["makespan"]),
+            base_address=int(sched["base_address"]),
+            policy=str(sched["policy"]),
+            circulations=int(sched["circulations"]),
+            queue_depth=int(sched["queue_depth"]),
+        ),
+        po_nodes={
+            name: int(nid) for name, nid in dict(header["po_nodes"]).items()
+        },
+        po_buffer_keys={
+            name: (int(key[0]), int(key[1]))
+            for name, key in dict(header["po_buffer_keys"]).items()
+        },
+        peak_buffer_words=int(header["peak_buffer_words"]),
+        buffer_spills=int(header["buffer_spills"]),
     )
 
-    queues: Dict[int, Dict[int, List[LPEInstruction]]] = {}
-    queue_lpv = arrays["queue_lpv"].tolist()
-    queue_addr = arrays["queue_addr"].tolist()
-    queue_words = arrays["queue_words"].tolist()
-    queue_nodes = arrays["queue_nodes"].tolist()
+
+def _decode_tables(
+    queue_lpv: np.ndarray,
+    queue_addr: np.ndarray,
+    queue_words: np.ndarray,
+    queue_nodes: np.ndarray,
+    input_rows: np.ndarray,
+    circulation_rows: np.ndarray,
+    write_rows: np.ndarray,
+) -> Dict[str, object]:
+    """The deferred fields of :func:`decode_program`."""
+    rows = len(queue_lpv)
+    if not (
+        rows == len(queue_addr)
+        and queue_words.shape == queue_nodes.shape
+        and queue_words.shape[:1] == (rows,)
+    ):
+        raise ArtifactDecodeError("instruction queue columns differ in shape")
     # Instructions are frozen, so identical (word, node) pairs — NOPs
-    # above all — share one object; this memo is what makes decoding a
-    # large program milliseconds instead of tens of milliseconds.
+    # above all — share one object.  The memo saves a dataclass per
+    # repeat, not the look-up per queue entry: decoding stays linear in
+    # the queue, which is why it waits for the first read.
     memo: Dict[Tuple[int, int], LPEInstruction] = {}
 
     def instruction_of(word: int, node: int) -> LPEInstruction:
@@ -391,50 +501,37 @@ def decode_program(
             memo[(word, node)] = got
         return got
 
-    for row in range(len(queue_lpv)):
-        words = queue_words[row]
-        nodes = queue_nodes[row]
-        vec = [
-            instruction_of(words[col], nodes[col])
-            for col in range(len(words))
-        ]
-        queues.setdefault(queue_lpv[row], {})[queue_addr[row]] = vec
+    queues: Dict[int, Dict[int, List[LPEInstruction]]] = {}
+    for lpv, address, words, nodes in zip(
+        queue_lpv.tolist(),
+        queue_addr.tolist(),
+        queue_words.tolist(),
+        queue_nodes.tolist(),
+    ):
+        queues.setdefault(lpv, {})[address] = list(
+            map(instruction_of, words, nodes)
+        )
 
     port_name = {0: "a", 1: "b"}
     input_reads: Dict[int, Dict[Tuple[int, str], int]] = {}
-    for cycle, col, port, node in arrays["input_reads"].tolist():
+    for cycle, col, port, node in input_rows.tolist():
         input_reads.setdefault(cycle, {})[(col, port_name[port])] = node
     circulation_reads: Dict[
         Tuple[int, int], Dict[Tuple[int, str], Tuple[int, int]]
     ] = {}
-    for cycle, lpv, col, port, uid, node in arrays[
-        "circulation_reads"
-    ].tolist():
+    for cycle, lpv, col, port, uid, node in circulation_rows.tolist():
         circulation_reads.setdefault((cycle, lpv), {})[
             (col, port_name[port])
         ] = (uid, node)
     buffer_writes: Dict[int, List[Tuple[Tuple[int, int], int, int]]] = {}
-    for cycle, uid, node, lpv, col in arrays["buffer_writes"].tolist():
+    for cycle, uid, node, lpv, col in write_rows.tolist():
         buffer_writes.setdefault(cycle, []).append(((uid, node), lpv, col))
-
-    return Program(
-        config=config,
-        graph=graph,
-        schedule=schedule,
-        queues=queues,
-        input_reads=input_reads,
-        circulation_reads=circulation_reads,
-        buffer_writes=buffer_writes,
-        po_nodes={
-            name: int(nid) for name, nid in dict(header["po_nodes"]).items()
-        },
-        po_buffer_keys={
-            name: (int(key[0]), int(key[1]))
-            for name, key in dict(header["po_buffer_keys"]).items()
-        },
-        peak_buffer_words=int(header["peak_buffer_words"]),
-        buffer_spills=int(header["buffer_spills"]),
-    )
+    return {
+        "queues": queues,
+        "input_reads": input_reads,
+        "circulation_reads": circulation_reads,
+        "buffer_writes": buffer_writes,
+    }
 
 
 # ----------------------------------------------------------------------
@@ -496,21 +593,68 @@ def encode_trace(
     return header, arrays
 
 
+#: the arrays :func:`_decode_levels` reads, in its argument order.
+_TRACE_TABLES = (
+    "trace_level_cycle", "trace_level_out_start", "trace_level_size",
+    "trace_level_segments", "trace_a_index", "trace_b_index",
+    "trace_segments", "trace_slot_nodes",
+)
+
+
 def decode_trace(
     header: Dict[str, object],
     arrays: Dict[str, np.ndarray],
     program: Program,
 ) -> TraceProgram:
-    """Rebuild the :class:`TraceProgram` bound to ``program``."""
-    op_table = list(header["ops"])
-    level_cycle = arrays["trace_level_cycle"]
-    level_out = arrays["trace_level_out_start"]
-    level_size = arrays["trace_level_size"]
-    level_segs = arrays["trace_level_segments"]
-    a_index = arrays["trace_a_index"].astype(np.intp)
-    b_index = arrays["trace_b_index"].astype(np.intp)
-    seg_rows = arrays["trace_segments"]
+    """Rebuild the :class:`TraceProgram` bound to ``program``: slot maps
+    and statistics here, the per-level tables and the slot→node map on
+    their first read (a failure there is an :class:`ArtifactError`)."""
+    return DeferredTraceProgram.deferring(
+        ("levels", "slot_nodes"),
+        partial(
+            decoded,
+            _decode_levels,
+            list(header["ops"]),
+            *(arrays[n] for n in _TRACE_TABLES),
+        ),
+        program=program,
+        num_slots=int(header["num_slots"]),
+        # Rebuild in slot order (the JSON header sorts by name): fusing
+        # a decoded trace then inherits PI registers in iteration order,
+        # keeping the fused engine's contiguous-binding fast path.
+        pi_slots={
+            name: int(slot)
+            for name, slot in sorted(
+                dict(header["pi_slots"]).items(), key=lambda kv: kv[1]
+            )
+        },
+        output_slots={
+            name: int(slot)
+            for name, slot in dict(header["output_slots"]).items()
+        },
+        macro_cycles=int(header["macro_cycles"]),
+        clock_cycles=int(header["clock_cycles"]),
+        compute_instructions=int(header["compute_instructions"]),
+        switch_routes=int(header["switch_routes"]),
+        peak_buffer_words=int(header["peak_buffer_words"]),
+        buffer_writes=int(header["buffer_writes"]),
+    )
 
+
+def _decode_levels(
+    op_table: List[str],
+    level_cycle: np.ndarray,
+    level_out: np.ndarray,
+    level_size: np.ndarray,
+    level_segs: np.ndarray,
+    a_index: np.ndarray,
+    b_index: np.ndarray,
+    seg_rows: np.ndarray,
+    slot_rows: np.ndarray,
+) -> Dict[str, object]:
+    """The deferred fields of :func:`decode_trace`."""
+    a_index = a_index.astype(np.intp)
+    b_index = b_index.astype(np.intp)
     levels: List[TraceLevel] = []
     offset = 0
     seg_offset = 0
@@ -540,35 +684,12 @@ def decode_trace(
         )
         offset += size
         seg_offset += count
-
-    return TraceProgram(
-        program=program,
-        num_slots=int(header["num_slots"]),
-        # Rebuild in slot order (the JSON header sorts by name): fusing
-        # a decoded trace then inherits PI registers in iteration order,
-        # keeping the fused engine's contiguous-binding fast path.
-        pi_slots={
-            name: int(slot)
-            for name, slot in sorted(
-                dict(header["pi_slots"]).items(), key=lambda kv: kv[1]
-            )
+    return {
+        "levels": levels,
+        "slot_nodes": {
+            int(slot): int(node) for slot, node in slot_rows.tolist()
         },
-        levels=levels,
-        output_slots={
-            name: int(slot)
-            for name, slot in dict(header["output_slots"]).items()
-        },
-        macro_cycles=int(header["macro_cycles"]),
-        clock_cycles=int(header["clock_cycles"]),
-        compute_instructions=int(header["compute_instructions"]),
-        switch_routes=int(header["switch_routes"]),
-        peak_buffer_words=int(header["peak_buffer_words"]),
-        buffer_writes=int(header["buffer_writes"]),
-        slot_nodes={
-            int(slot): int(node)
-            for slot, node in arrays["trace_slot_nodes"].tolist()
-        },
-    )
+    }
 
 
 # ----------------------------------------------------------------------

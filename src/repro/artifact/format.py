@@ -37,12 +37,14 @@ from ..core.liveness import FusedProgram, adopt_fusion, fuse_trace
 from ..core.trace import TraceProgram, adopt_lowering, lower_program
 from .codec import (
     ArtifactDecodeError,
+    ArtifactError,
     content_fingerprint,
     decode_fanout,
     decode_fused,
     decode_probes,
     decode_program,
     decode_trace,
+    decoded,
     encode_fanout,
     encode_fused,
     encode_probes,
@@ -81,11 +83,6 @@ BUNDLE_FORMAT_VERSION = 2
 FORMAT_VERSION = BUNDLE_FORMAT_VERSION
 #: conventional file suffix ("LPU artifact").
 ARTIFACT_SUFFIX = ".lpa"
-
-
-class ArtifactError(RuntimeError):
-    """The bytes are not a loadable artifact (corrupt, wrong format, or an
-    incompatible format version)."""
 
 
 # ----------------------------------------------------------------------
@@ -460,7 +457,12 @@ class ExecutableArtifact:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "ExecutableArtifact":
-        """Deserialize, verifying the format version and the fingerprint."""
+        """Deserialize, verifying the container, the format version and
+        the content fingerprint over every byte, and decoding the sections
+        a boot runs.  The program's per-instruction tables and the graph's
+        node table decode on their first read (see
+        :func:`~repro.artifact.codec.decode_program`); any section that
+        fails to decode, here or then, raises :class:`ArtifactError`."""
         try:
             header, arrays = unpack_container(data)
         except ArtifactDecodeError as exc:
@@ -485,44 +487,9 @@ class ExecutableArtifact:
                 "artifact fingerprint mismatch: the container is corrupt "
                 f"(header says {expected!r}, content hashes to {actual!r})"
             )
-        try:
-            program = decode_program(header, arrays)
-            trace = None
-            fused = None
-            if header.get("trace") is not None:
-                trace = decode_trace(dict(header["trace"]), arrays, program)
-            if trace is not None and header.get("fused") is not None:
-                fused = decode_fused(dict(header["fused"]), arrays, trace)
-        except (ArtifactDecodeError, KeyError, ValueError) as exc:
-            raise ArtifactError(f"undecodable artifact: {exc}") from exc
-        if trace is not None:
-            # Future lower_program() calls on this program now hit the
-            # process-wide cache instead of re-replaying the schedule.
-            canonical = adopt_lowering(trace)
-            if fused is not None and canonical is trace:
-                fused = adopt_fusion(fused)
-            trace = canonical
-        fanout = None
-        if fused is not None and header.get("fanout") is not None:
-            # Decoded against the *final* (possibly cache-canonical)
-            # fused object, so the tables' identity check holds for
-            # every engine booted from this artifact.
-            try:
-                fanout = adopt_fanout(
-                    decode_fanout(dict(header["fanout"]), arrays, fused)
-                )
-            except (ArtifactDecodeError, KeyError, ValueError) as exc:
-                raise ArtifactError(
-                    f"undecodable artifact: {exc}"
-                ) from exc
-        probes = None
-        if header.get("probes") is not None:
-            try:
-                probes = decode_probes(dict(header["probes"]), arrays)
-            except (ArtifactDecodeError, KeyError, ValueError) as exc:
-                raise ArtifactError(
-                    f"undecodable artifact: {exc}"
-                ) from exc
+        program, trace, fused, fanout, probes = decoded(
+            cls._decode_sections, header, arrays
+        )
         return cls(
             program=program,
             trace=trace,
@@ -535,6 +502,32 @@ class ExecutableArtifact:
             metrics=header.get("metrics"),
             fingerprint=str(expected),
         )
+
+    @staticmethod
+    def _decode_sections(header, arrays):
+        program = decode_program(header, arrays)
+        trace = fused = fanout = probes = None
+        if header.get("trace") is not None:
+            trace = decode_trace(dict(header["trace"]), arrays, program)
+        if trace is not None and header.get("fused") is not None:
+            fused = decode_fused(dict(header["fused"]), arrays, trace)
+        if trace is not None:
+            # Future lower_program() calls on this program now hit the
+            # process-wide cache instead of re-replaying the schedule.
+            canonical = adopt_lowering(trace)
+            if fused is not None and canonical is trace:
+                fused = adopt_fusion(fused)
+            trace = canonical
+        if fused is not None and header.get("fanout") is not None:
+            # Decoded against the *final* (possibly cache-canonical)
+            # fused object, so the tables' identity check holds for
+            # every engine booted from this artifact.
+            fanout = adopt_fanout(
+                decode_fanout(dict(header["fanout"]), arrays, fused)
+            )
+        if header.get("probes") is not None:
+            probes = decode_probes(dict(header["probes"]), arrays)
+        return program, trace, fused, fanout, probes
 
     def save(self, path: str) -> str:
         """Write the artifact atomically; returns the path written."""

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..netlist import cells
-from ..netlist.graph import LogicGraph
+from ..netlist.graph import DeferredFields, LogicGraph
 from .config import LPUConfig
 from .isa import (
     IDLE_PORT,
@@ -57,7 +57,14 @@ PORT_B = "b"
 
 @dataclass
 class Program:
-    """Everything the LPU needs to execute one FFCL block."""
+    """Everything the LPU needs to execute one FFCL block.
+
+    The four per-instruction tables — :attr:`queues`, :attr:`input_reads`,
+    :attr:`circulation_reads`, :attr:`buffer_writes` — are what the
+    cycle-accurate model and the lowering read and what the table engines
+    never do, so a program loaded from an artifact
+    (:class:`DeferredProgram`) decodes them on their first read.
+    """
 
     config: LPUConfig
     graph: LogicGraph
@@ -118,6 +125,11 @@ class Program:
 
             return [NOP_INSTRUCTION] * self.config.m
         return vec
+
+
+class DeferredProgram(DeferredFields, Program):
+    """A :class:`Program` that has not read its per-instruction tables
+    yet."""
 
 
 @dataclass

@@ -39,6 +39,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..netlist import cells
+from ..netlist.graph import DeferredFields
 from .codegen import PORT_A, PORT_B, Program
 from .isa import (
     SRC_CONST,
@@ -83,7 +84,13 @@ class TraceLevel:
 
 @dataclass
 class TraceProgram:
-    """A compiled program lowered to flat vectorizable tables."""
+    """A compiled program lowered to flat vectorizable tables.
+
+    :attr:`levels` and :attr:`slot_nodes` are read by the trace engine,
+    the liveness renaming and inspection, never by an engine that runs
+    embedded fused tables, so a lowering loaded from an artifact
+    (:class:`DeferredTraceProgram`) decodes them on their first read.
+    """
 
     program: Program
     num_slots: int
@@ -103,6 +110,10 @@ class TraceProgram:
     @property
     def num_levels(self) -> int:
         return len(self.levels)
+
+
+class DeferredTraceProgram(DeferredFields, TraceProgram):
+    """A :class:`TraceProgram` that has not read its levels yet."""
 
 
 # ----------------------------------------------------------------------

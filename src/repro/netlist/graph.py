@@ -13,8 +13,9 @@ Primary outputs are named references to nodes.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -40,6 +41,84 @@ class Node:
             )
 
 
+class DeferredFields:
+    """Instance attributes that are decoded on their first read.
+
+    Mixed in *ahead of* the class whose fields it defers
+    (``class DeferredLogicGraph(DeferredFields, LogicGraph)``), so that
+    class itself — and every instance built the ordinary way — keeps
+    plain attribute look-up.  :meth:`deferring` builds an instance that
+    lacks some attributes and names the ``load`` that produces them.
+    Python calls :meth:`__getattr__` only when ordinary look-up misses,
+    so the first read of a deferred name runs ``load()`` — once, under a
+    lock, however many threads read at the same moment — stores the
+    ``{name: value}`` it returns as plain instance attributes and turns
+    the instance into one of the plain class: every later read is an
+    ordinary look-up.  A ``load`` that raises leaves the attributes
+    deferred, so the next read raises again instead of seeing half-built
+    state.
+
+    Copying, pickling, ``==`` and ``dataclasses.replace`` materialise
+    first and therefore behave as on an instance that never deferred.
+    """
+
+    @classmethod
+    def deferring(
+        cls,
+        names: Iterable[str],
+        load: Callable[[], Dict[str, object]],
+        **attributes,
+    ):
+        """An instance that holds ``attributes`` (no ``__init__`` runs)
+        and takes ``names`` from ``load()`` on their first read."""
+        instance = cls.__new__(cls)
+        instance.__dict__.update(
+            attributes, _deferred=(frozenset(names), load, threading.Lock())
+        )
+        return instance
+
+    def _materialize(self) -> None:
+        deferred = self.__dict__.get("_deferred")
+        if deferred is None:
+            return
+        _, load, lock = deferred
+        with lock:
+            if "_deferred" in self.__dict__:  # no other thread got here first
+                self.__dict__.update(load())
+                # DeferredX(DeferredFields, X) becomes an X — before the
+                # marker goes, so whoever finds no marker finds an X.
+                self.__class__ = type(self).__bases__[1]
+                del self.__dict__["_deferred"]
+
+    def __getattr__(self, name: str):
+        attributes = self.__dict__
+        deferred = attributes.get("_deferred")
+        if deferred is not None and name in deferred[0]:
+            self._materialize()
+        try:
+            # Also the answer when another thread finished the load
+            # between the look-up that missed and this call.
+            return attributes[name]
+        except KeyError:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            ) from None
+
+    # The plain class's own behaviour, once this is an instance of it: a
+    # generated dataclass ``__eq__`` compares classes before fields, and
+    # a reduce value names the class before it asks for the state.
+    def __eq__(self, other):
+        self._materialize()
+        return self == other
+
+    def __hash__(self):
+        return super().__hash__()
+
+    def __reduce_ex__(self, protocol):
+        self._materialize()
+        return self.__reduce_ex__(protocol)
+
+
 class LogicGraph:
     """A combinational Boolean network with named PIs and POs.
 
@@ -53,10 +132,38 @@ class LogicGraph:
         self.name = name
         self.nodes: Dict[int, Node] = {}
         self._next_id = 0
-        self._inputs: List[int] = []  # PI node ids, in declaration order
+        self._inputs: Dict[int, str] = {}  # PI node id -> name, in order
         self._outputs: List[Tuple[str, int]] = []  # (PO name, node id)
         self._output_names: set = set()  # names in _outputs (see set_output)
-        self._input_names: Dict[str, int] = {}
+        self._input_names: Dict[str, int] = {}  # the inverse of _inputs
+
+    @classmethod
+    def from_interface(
+        cls,
+        name: str,
+        inputs: Iterable[Tuple[str, int]],
+        outputs: Iterable[Tuple[str, int]],
+        next_id: int,
+        load_nodes: Callable[[], Dict[int, Node]],
+    ) -> "LogicGraph":
+        """A graph that holds its interface — name, ``(PI name, node id)``
+        and ``(PO name, node id)`` pairs — and takes its node table from
+        ``load_nodes()`` on the first read of :attr:`nodes`.  Exact node
+        ids survive (they need not be dense), so ``next_id`` is given.
+        ``load_nodes`` answers for the table agreeing with the interface
+        (:meth:`check_structure`)."""
+        input_names = dict(inputs)
+        outputs = list(outputs)
+        return DeferredLogicGraph.deferring(
+            ("nodes",),
+            lambda: {"nodes": load_nodes()},
+            name=name,
+            _next_id=next_id,
+            _inputs={nid: pi for pi, nid in input_names.items()},
+            _input_names=input_names,
+            _outputs=outputs,
+            _output_names={po for po, _ in outputs},
+        )
 
     # ------------------------------------------------------------------
     # Construction
@@ -74,7 +181,7 @@ class LogicGraph:
         if name in self._input_names:
             raise ValueError(f"duplicate input name {name!r}")
         nid = self._alloc(Node(cells.INPUT, (), name))
-        self._inputs.append(nid)
+        self._inputs[nid] = name
         self._input_names[name] = nid
         return nid
 
@@ -139,11 +246,12 @@ class LogicGraph:
         return sum(1 for n in self.nodes.values() if n.op in cells.LPE_OPS)
 
     def input_name(self, nid: int) -> str:
-        node = self.nodes[nid]
-        if node.op != cells.INPUT:
+        name = self._inputs.get(nid)
+        if name is None:
+            if nid not in self.nodes:
+                raise KeyError(nid)
             raise ValueError(f"node {nid} is not a primary input")
-        assert node.name is not None
-        return node.name
+        return name
 
     def input_id(self, name: str) -> int:
         return self._input_names[name]
@@ -243,20 +351,31 @@ class LogicGraph:
 
     def validate(self) -> None:
         """Raise ValueError if any structural invariant is violated."""
-        for nid, node in self.nodes.items():
+        self.check_structure(self.nodes, self._inputs, self._outputs)
+
+    @staticmethod
+    def check_structure(
+        nodes: Dict[int, Node],
+        inputs: Iterable[int],
+        outputs: Iterable[Tuple[str, int]],
+    ) -> None:
+        """:meth:`validate` over a node table and the PI ids and
+        ``(PO name, node id)`` pairs of an interface, before a graph
+        holds them."""
+        for nid, node in nodes.items():
             for fid in node.fanins:
-                if fid not in self.nodes:
+                if fid not in nodes:
                     raise ValueError(f"node {nid} references missing fanin {fid}")
                 if fid >= nid:
                     raise ValueError(
                         f"node {nid} references fanin {fid} >= itself "
                         "(ids must be topologically ordered)"
                     )
-        for name, nid in self._outputs:
-            if nid not in self.nodes:
+        for name, nid in outputs:
+            if nid not in nodes:
                 raise ValueError(f"output {name!r} references missing node {nid}")
-        for nid in self._inputs:
-            if self.nodes[nid].op != cells.INPUT:
+        for nid in inputs:
+            if nid not in nodes or nodes[nid].op != cells.INPUT:
                 raise ValueError(f"input list contains non-input node {nid}")
 
     # ------------------------------------------------------------------
@@ -273,7 +392,7 @@ class LogicGraph:
         if not self._inputs:
             shape: Tuple[int, ...] = (1,)
         else:
-            first = input_words[self.input_name(self._inputs[0])]
+            first = input_words[next(iter(self._input_names))]
             shape = np.asarray(first, dtype=np.uint64).shape
         values: Dict[int, np.ndarray] = {}
         for nid in self.topological_order():
@@ -313,7 +432,7 @@ class LogicGraph:
         g = LogicGraph(self.name)
         g.nodes = {nid: Node(n.op, n.fanins, n.name) for nid, n in self.nodes.items()}
         g._next_id = self._next_id
-        g._inputs = list(self._inputs)
+        g._inputs = dict(self._inputs)
         g._outputs = list(self._outputs)
         g._input_names = dict(self._input_names)
         return g
@@ -368,6 +487,11 @@ class LogicGraph:
             f"pos={self.num_outputs}, gates={self.num_gates}, "
             f"depth={self.depth()})"
         )
+
+
+class DeferredLogicGraph(DeferredFields, LogicGraph):
+    """A :class:`LogicGraph` that has not read its node table yet
+    (:meth:`LogicGraph.from_interface`)."""
 
 
 @dataclass

@@ -229,7 +229,11 @@ class ProgramCache:
         engine: str = DEFAULT_ENGINE,
         **compile_kwargs,
     ) -> CacheKey:
+        # An artifact carries its workload's fingerprint; hashing the
+        # graph again would decode a node table the boot never reads.
+        workload = ""
         if isinstance(source, ExecutableArtifact):
+            workload = source.workload_fingerprint
             source = source.program
         if isinstance(source, Program):
             # An already-compiled program is its own identity: the same
@@ -240,7 +244,7 @@ class ProgramCache:
             options = tuple(sorted(compile_kwargs.items()))
             options += (("__program_id__", id(source)),)
             return CacheKey(
-                workload=graph_fingerprint(source.graph),
+                workload=workload or graph_fingerprint(source.graph),
                 engine=engine,
                 config=source.config,
                 options=options,
