@@ -36,11 +36,12 @@ import numpy as np
 
 from ..core.compiler import compile_ffcl
 from ..core.config import LPUConfig
+from ..netlist import cells
 from ..netlist.compose import merge_parallel
 from ..netlist.graph import LogicGraph
-from ..nullanet.ffcl import minimize_table
+from ..nullanet.ffcl import minimize_table, neuron_truth_table
 from ..synth.factoring import factored_graph
-from ..synth.truth_table import Cube, sop_to_graph
+from ..synth.truth_table import Cube, TruthTable, sop_to_graph
 from .layers import LayerWorkload, ModelWorkload
 
 #: Neuron graphs are cached by (fan_in, seed): workload generation is a hot
@@ -57,23 +58,14 @@ _MAX_ENUM_FAN_IN = 12
 DEFAULT_CARE_FRACTION = 0.25
 
 
-def threshold_neuron_graph(
+def threshold_neuron_table(
     fan_in: int,
     seed: int,
-    style: str = "sop",
     care_fraction: float = DEFAULT_CARE_FRACTION,
-) -> LogicGraph:
-    """A real binarized-neuron function: a random bipolar threshold function
-    is enumerated, don't-cares are mined from a simulated observed-pattern
-    set (``care_fraction`` of all patterns), and the cover is minimized
-    (inputs named x0..x{fan_in-1}).
-
-    ``style`` selects the multi-level construction: ``"sop"`` builds the
-    flat two-level AND-OR form with balanced trees (depth ~ log2(cubes) +
-    log2(literals), the shape NullaNet's depth-optimized mapping targets),
-    ``"factored"`` the quick-factored form (fewer gates, much deeper —
-    threshold functions factor poorly, so the chains are long).
-    """
+) -> TruthTable:
+    """The truth table of a random bipolar threshold function, with
+    don't-cares mined from a simulated observed-pattern set
+    (``care_fraction`` of all patterns)."""
     if fan_in > _MAX_ENUM_FAN_IN:
         raise ValueError(f"fan-in {fan_in} too wide to enumerate")
     rng = np.random.default_rng(seed)
@@ -81,14 +73,29 @@ def threshold_neuron_graph(
     # Random threshold inside the achievable range keeps the function
     # non-constant with high probability.
     bias = float(rng.integers(-fan_in // 2, fan_in // 2 + 1))
-    from ..nullanet.ffcl import neuron_truth_table
-
     observed = None
     if care_fraction < 1.0:
         count = max(4, int((1 << fan_in) * care_fraction))
         observed = rng.integers(0, 2, size=(count, fan_in), dtype=np.int8)
-    table = neuron_truth_table(weights, bias, observed)
-    cover = minimize_table(table)
+    return neuron_truth_table(weights, bias, observed)
+
+
+def threshold_neuron_graph(
+    fan_in: int,
+    seed: int,
+    style: str = "sop",
+    care_fraction: float = DEFAULT_CARE_FRACTION,
+) -> LogicGraph:
+    """A real binarized-neuron function: :func:`threshold_neuron_table`,
+    minimized (inputs named x0..x{fan_in-1}).
+
+    ``style`` selects the multi-level construction: ``"sop"`` builds the
+    flat two-level AND-OR form with balanced trees (depth ~ log2(cubes) +
+    log2(literals), the shape NullaNet's depth-optimized mapping targets),
+    ``"factored"`` the quick-factored form (fewer gates, much deeper —
+    threshold functions factor poorly, so the chains are long).
+    """
+    cover = minimize_table(threshold_neuron_table(fan_in, seed, care_fraction))
     name = f"thr{fan_in}_{seed}"
     if style == "factored":
         return factored_graph(
@@ -148,28 +155,6 @@ def neuron_graph(fan_in: int, seed: int) -> LogicGraph:
     return _NEURON_CACHE[key]
 
 
-def _rename_inputs(graph: LogicGraph, mapping: Dict[str, str]) -> LogicGraph:
-    """Rebuild ``graph`` with renamed PIs."""
-    out = LogicGraph(graph.name)
-    remap: Dict[int, int] = {}
-    from ..netlist import cells
-
-    for nid in graph.topological_order():
-        node = graph.nodes[nid]
-        if node.op == cells.INPUT:
-            assert node.name is not None
-            remap[nid] = out.add_input(mapping.get(node.name, node.name))
-        elif node.op in (cells.CONST0, cells.CONST1):
-            remap[nid] = out.add_const(1 if node.op == cells.CONST1 else 0)
-        else:
-            remap[nid] = out.add_gate(
-                node.op, *(remap[f] for f in node.fanins), name=node.name
-            )
-    for name, nid in graph.outputs:
-        out.set_output(name, remap[nid])
-    return out
-
-
 def layer_block(
     layer: LayerWorkload,
     sample_neurons: int = 8,
@@ -190,23 +175,21 @@ def layer_block(
         mapping = {
             f"x{i}": f"in{int(support[i])}" for i in range(layer.fan_in)
         }
-        g = _rename_inputs(base, mapping)
+        # One rebuild: PIs renamed onto the support, gates unnamed, and one
+        # PO named after the neuron (merge_parallel needs unique PO names).
         renamed = LogicGraph(f"{layer.name}_n{j}")
-        # merge_parallel requires unique PO names; rebuild with one.
         remap: Dict[int, int] = {}
-        from ..netlist import cells as _c
-
-        for nid in g.topological_order():
-            node = g.nodes[nid]
-            if node.op == _c.INPUT:
-                remap[nid] = renamed.add_input(node.name)
-            elif node.op in (_c.CONST0, _c.CONST1):
-                remap[nid] = renamed.add_const(1 if node.op == _c.CONST1 else 0)
+        for nid in base.topological_order():
+            node = base.nodes[nid]
+            if node.op == cells.INPUT:
+                remap[nid] = renamed.add_input(mapping[node.name])
+            elif node.op in (cells.CONST0, cells.CONST1):
+                remap[nid] = renamed.add_const(1 if node.op == cells.CONST1 else 0)
             else:
                 remap[nid] = renamed.add_gate(
                     node.op, *(remap[f] for f in node.fanins)
                 )
-        renamed.set_output(f"{layer.name}_n{j}", remap[g.outputs[0][1]])
+        renamed.set_output(f"{layer.name}_n{j}", remap[base.outputs[0][1]])
         graphs.append(renamed)
     block = merge_parallel(graphs, name=f"{layer.name}_block")
     return block, sample

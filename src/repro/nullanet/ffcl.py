@@ -87,8 +87,6 @@ def minimize_table(table: TruthTable) -> List[Cube]:
     tables (exactly the tables NullaNet produces), so exact minimization is
     reserved for small, mostly-specified functions.
     """
-    import numpy as np
-
     dc_fraction = float(np.count_nonzero(~table.care_bits)) / max(
         1, table.size
     )

@@ -11,8 +11,17 @@ Espresso loop operating on the explicit truth table (practical up to
 * **reduce** each cube to the smallest cube covering its essential
   ON-minterms, enabling the next expand to escape local minima,
 * iterate until the (cube count, literal count) cost stops improving.
-"""
 
+Every row set is a packed bitset in one Python int (bit i = minterm i): ON,
+OFF, each cube's minterms, and per variable the rows where it reads 1
+(``pos``) or 0 (``neg``).  Dropping literal v is one shift by 2^v and one OR;
+the implicant test is one AND with OFF; irredundant finds every cube's
+private minterms in one sweep of prefix/suffix ORs; reduce reads "all
+minterms agree on v" as one AND with ``neg[v]`` / ``pos[v]``.  Each step is a
+few word-parallel int operations over 2^k bits, not a numpy pass over 2^k
+rows.  The numpy-mask implementation this replaced is the test oracle in
+``tests/espresso_reference.py``: the covers must match cube for cube, in order.
+"""
 from __future__ import annotations
 
 from typing import List, Sequence
@@ -22,48 +31,60 @@ import numpy as np
 from .truth_table import Cube, TruthTable
 
 
-def _cube_rows(cube: Cube, idx: np.ndarray) -> np.ndarray:
-    return (idx & cube.mask) == cube.value
+def _bitset(bits: np.ndarray) -> int:
+    """Row i of a boolean vector -> bit i of a Python int."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def _suffix_or(rows: Sequence[int]) -> List[int]:
+    """``out[i]`` = OR of ``rows[i:]`` (``out[len(rows)]`` = 0)."""
+    out = [0] * (len(rows) + 1)
+    for i in range(len(rows) - 1, -1, -1):
+        out[i] = out[i + 1] | rows[i]
+    return out
 
 
 class _Context:
-    """Precomputed table views shared by all passes."""
+    """Bitsets of the table shared by all passes."""
 
     def __init__(self, table: TruthTable) -> None:
-        self.table = table
-        self.idx = np.arange(table.size, dtype=np.int64)
-        self.on = table.on_bits & table.care_bits
-        self.off = ~table.on_bits & table.care_bits
+        self.num_vars = table.num_vars
+        self.full = (1 << table.size) - 1
+        self.on = _bitset(table.on_bits & table.care_bits)
+        self.off = _bitset(~table.on_bits & table.care_bits)
+        # Variable v reads 1 on 2^v rows after 2^v zero rows, every 2^(v+1).
+        self.pos = [
+            (((1 << (1 << v)) - 1) << (1 << v)) * (self.full // ((1 << (2 << v)) - 1))
+            for v in range(self.num_vars)
+        ]
+        self.neg = [self.full ^ p for p in self.pos]
 
-    def is_implicant(self, cube: Cube) -> bool:
-        """Cube fully inside ON ∪ DC?"""
-        return not bool(np.any(_cube_rows(cube, self.idx) & self.off))
+    def rows(self, cube: Cube) -> int:
+        """The minterms of ``cube``."""
+        rows = self.full
+        for v in range(self.num_vars):
+            if (cube.mask >> v) & 1:
+                rows &= self.pos[v] if (cube.value >> v) & 1 else self.neg[v]
+        return rows
 
-    def on_rows(self, cube: Cube) -> np.ndarray:
-        return _cube_rows(cube, self.idx) & self.on
 
-
-def expand_cube(cube: Cube, ctx: _Context, order: Sequence[int]) -> Cube:
-    """Greedily drop literals from ``cube`` (in ``order``) while it remains
-    an implicant of ON ∪ DC; the result is a prime implicant."""
-    current = cube
-    for var in order:
-        if not (current.mask >> var) & 1:
-            continue
-        candidate = current.without_literal(var)
-        if ctx.is_implicant(candidate):
-            current = candidate
-    return current
+def expand_cube(cube: Cube, ctx: _Context) -> Cube:
+    """Drop literals (lowest variable first) while ``cube`` stays in ON ∪ DC."""
+    mask, value, rows = cube.mask, cube.value, ctx.rows(cube)
+    for var in range(ctx.num_vars):
+        bit = 1 << var
+        if mask & bit:
+            # Add the rows on the other side of the literal.
+            grown = rows | (rows >> bit if value & bit else rows << bit)
+            if not grown & ctx.off:
+                mask, value, rows = mask ^ bit, value & ~bit, grown
+    return Cube(mask, value)
 
 
 def _expand_all(cubes: List[Cube], ctx: _Context) -> List[Cube]:
     expanded: List[Cube] = []
     for cube in cubes:
-        # Try dropping rarely-useful literals first: order variables by how
-        # unbalanced the OFF-set is along them (cheap proxy for Espresso's
-        # blocking-matrix heuristics).
-        order = sorted(range(ctx.table.num_vars), key=lambda v: -((cube.mask >> v) & 1))
-        prime = expand_cube(cube, ctx, order)
+        prime = expand_cube(cube, ctx)
         if not any(other.contains_cube(prime) for other in expanded):
             expanded = [c for c in expanded if not prime.contains_cube(c)]
             expanded.append(prime)
@@ -71,32 +92,23 @@ def _expand_all(cubes: List[Cube], ctx: _Context) -> List[Cube]:
 
 
 def _irredundant(cubes: List[Cube], ctx: _Context) -> List[Cube]:
-    """Drop cubes whose ON coverage is already provided by the others.
+    """Repeatedly drop the first cube (in cover order) with no privately
+    covered ON-minterm, while more than one cube remains.
 
-    Processes the least useful cubes first (fewest privately covered
-    minterms) so the survivors form a small irredundant cover.
+    Dropping a cube only grows the others' private sets, so one sweep does
+    it: ``before`` is the OR of the cubes kept so far, ``after[i + 1]`` of
+    those after ``i``.
     """
-    if not cubes:
-        return []
-    rows = [ctx.on_rows(c) for c in cubes]
-    keep = list(range(len(cubes)))
-
-    def private_count(i: int) -> int:
-        others = np.zeros_like(rows[0])
-        for j in keep:
-            if j != i:
-                others |= rows[j]
-        return int(np.count_nonzero(rows[i] & ~others))
-
-    changed = True
-    while changed:
-        changed = False
-        for i in sorted(keep, key=private_count):
-            if private_count(i) == 0 and len(keep) > 1:
-                keep.remove(i)
-                changed = True
-                break
-    return [cubes[i] for i in keep]
+    rows = [ctx.rows(c) & ctx.on for c in cubes]
+    after = _suffix_or(rows)
+    keep: List[Cube] = []
+    before = 0
+    for i, cube in enumerate(cubes):
+        if not rows[i] & ~(before | after[i + 1]) and len(keep) + len(cubes) - i > 1:
+            continue
+        keep.append(cube)
+        before |= rows[i]
+    return keep
 
 
 def _reduce_all(cubes: List[Cube], ctx: _Context) -> List[Cube]:
@@ -105,28 +117,22 @@ def _reduce_all(cubes: List[Cube], ctx: _Context) -> List[Cube]:
 
     Cubes are processed *sequentially against the current cover* (not a
     snapshot): reducing against stale coverage would let two cubes each
-    drop a minterm the other was covering, losing completeness.
+    drop a minterm the other was covering, losing completeness.  ``before``
+    is the OR of the cubes already reduced, ``after[i + 1]`` of those not yet.
     """
-    rows = [ctx.on_rows(c) for c in cubes]
-    reduced = list(cubes)
-    for i in range(len(cubes)):
-        others = np.zeros_like(ctx.on)
-        for j, r in enumerate(rows):
-            if j != i:
-                others |= r
-        essential = rows[i] & ~others
-        target = rows[i] if not np.any(essential) else essential
-        minterms = ctx.idx[target]
-        if minterms.size == 0:
-            continue
-        # Smallest enclosing cube: variables where all minterms agree stay
-        # as literals; the rest become don't-cares within the cube.
-        agree_one = np.bitwise_and.reduce(minterms)
-        agree_zero = np.bitwise_and.reduce(~minterms) & ((1 << ctx.table.num_vars) - 1)
-        mask = int(agree_one | agree_zero)
-        value = int(agree_one)
-        reduced[i] = Cube(mask, value)
-        rows[i] = ctx.on_rows(reduced[i])
+    rows = [ctx.rows(c) & ctx.on for c in cubes]
+    after = _suffix_or(rows)
+    reduced: List[Cube] = []
+    before = 0
+    for i, cube in enumerate(cubes):
+        target = rows[i] & ~(before | after[i + 1]) or rows[i]
+        if target:
+            # Variables where all target minterms agree stay as literals.
+            ones = sum(1 << v for v in range(ctx.num_vars) if not target & ctx.neg[v])
+            zeros = sum(1 << v for v in range(ctx.num_vars) if not target & ctx.pos[v])
+            cube = Cube(ones | zeros, ones)
+        reduced.append(cube)
+        before |= ctx.rows(cube) & ctx.on
     return reduced
 
 
@@ -136,27 +142,21 @@ def _cost(cubes: Sequence[Cube]) -> tuple:
 
 def espresso_minimize(table: TruthTable, max_iterations: int = 8) -> List[Cube]:
     """Heuristically minimize ``table`` into an irredundant prime SOP cover."""
-    full_mask = (1 << table.num_vars) - 1
-    ctx = _Context(table)
-    cubes: List[Cube] = [Cube(full_mask, m) for m in table.minterms()]
+    cubes = [Cube((1 << table.num_vars) - 1, m) for m in table.minterms()]
     if not cubes:
         return []
-    if not np.any(ctx.off):
+    ctx = _Context(table)
+    if not ctx.off:
         # Tautology under the care set.
         return [Cube(0, 0)]
-
-    cubes = _expand_all(cubes, ctx)
-    cubes = _irredundant(cubes, ctx)
-    best = cubes
-    best_cost = _cost(cubes)
+    cubes = _irredundant(_expand_all(cubes, ctx), ctx)
+    best, best_cost = cubes, _cost(cubes)
     for _ in range(max_iterations):
-        cubes = _reduce_all(cubes, ctx)
-        cubes = _expand_all(cubes, ctx)
-        cubes = _irredundant(cubes, ctx)
+        cubes = _irredundant(_expand_all(_reduce_all(cubes, ctx), ctx), ctx)
         cost = _cost(cubes)
-        if cost < best_cost:
-            best, best_cost = cubes, cost
-        else:
+        if cost >= best_cost:
             break
-    assert table.cover_is_complete(best), "espresso produced an incomplete cover"
+        best, best_cost = cubes, cost
+    if ctx.on & ~_suffix_or([ctx.rows(c) for c in best])[0]:
+        raise RuntimeError("espresso produced an incomplete cover")
     return best

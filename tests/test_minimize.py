@@ -1,10 +1,12 @@
 """Tests for truth tables, Quine-McCluskey, Espresso, and factoring."""
 
+import espresso_reference
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.models.workloads import threshold_neuron_table
 from repro.netlist import graphs_equivalent, random_dag
 from repro.synth import (
     Cube,
@@ -17,6 +19,7 @@ from repro.synth import (
     sop_cost,
     sop_to_graph,
 )
+from repro.synth import espresso
 from repro.synth.factoring import factoring_gain
 
 
@@ -180,6 +183,85 @@ class TestEspresso:
     def test_tautology_single_cube(self):
         t = TruthTable.from_minterms(3, list(range(8)))
         assert espresso_minimize(t) == [Cube(0, 0)]
+
+
+def assert_matches_reference(t: TruthTable):
+    """The packed-bitset Espresso makes every decision the numpy-mask one
+    did: the same cubes, in the same order."""
+    assert espresso_minimize(t) == espresso_reference.espresso_minimize(t)
+
+
+class TestEspressoMatchesReference:
+    @pytest.mark.parametrize(
+        "table",
+        [
+            TruthTable.from_minterms(3, []),
+            # ON only where nothing is cared about: still the empty cover.
+            TruthTable(3, np.ones(8, dtype=bool), np.zeros(8, dtype=bool)),
+            TruthTable(0, np.array([False])),
+        ],
+        ids=["empty-on", "all-dont-care", "k0-zero"],
+    )
+    def test_empty_on_set(self, table):
+        assert espresso_minimize(table) == []
+        assert_matches_reference(table)
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            TruthTable.from_minterms(3, [0, 1, 2], dont_cares=[3, 4, 5, 6, 7]),
+            TruthTable(0, np.array([True])),
+        ],
+        ids=["tautology-under-care", "k0-one"],
+    )
+    def test_tautology(self, table):
+        assert espresso_minimize(table) == [Cube(0, 0)]
+        assert_matches_reference(table)
+
+    # The neuron tables the corpus draws: layer_block's neuron seeds are
+    # seed * 1009 + j.  The models' widest layers (fan-ins 8-11) sample six
+    # neurons at seed 0; the three nid_stack layers (fan-in 7) sample 100
+    # at seeds 0-2, of which every 20th is checked.
+    @pytest.mark.parametrize(
+        "fan_in, seed",
+        [(f, j) for f in (8, 9, 10, 11) for j in range(6)]
+        + [(7, i * 1009 + j) for i in range(3) for j in range(0, 100, 20)],
+    )
+    def test_corpus_neuron_tables(self, fan_in, seed):
+        assert_matches_reference(threshold_neuron_table(fan_in, seed))
+
+    def test_incomplete_cover_raises_without_assert(self, monkeypatch):
+        """Completeness is checked explicitly, so ``python -O`` keeps it."""
+        irredundant = espresso._irredundant
+        monkeypatch.setattr(
+            espresso, "_irredundant", lambda cubes, ctx: irredundant(cubes, ctx)[:-1]
+        )
+        t = TruthTable.from_minterms(4, [0, 3, 5, 6, 9, 10, 12, 15])
+        with pytest.raises(RuntimeError, match="incomplete cover"):
+            espresso_minimize(t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(0, 12),
+    density=st.floats(0.0, 1.0),
+    care=st.sampled_from([1.0, 0.9, 0.5, 0.2, 0.05]),
+    threshold=st.booleans(),
+)
+def test_property_espresso_matches_reference(seed, k, density, care, threshold):
+    """Random tables (any ON density, care sets from full to sparse) and
+    threshold-neuron tables give the reference's cover, cube for cube."""
+    if threshold and k >= 1:
+        # Up to fan-in 10: the corpus sweep above covers 11.
+        t = threshold_neuron_table(min(k, 10), seed, care_fraction=care)
+    else:
+        rng = np.random.default_rng(seed)
+        size = 1 << k
+        # The reference is quadratic in the ON count; cap it past k = 8.
+        on = rng.random(size) < min(density, 64 / (care * size) if k > 8 else 1.0)
+        t = TruthTable(k, on, rng.random(size) < care)
+    assert_matches_reference(t)
 
 
 class TestSopAndFactoring:

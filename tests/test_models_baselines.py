@@ -21,6 +21,7 @@ from repro.baselines import (
     PAPER_TABLE1,
     XNORModel,
 )
+from repro.compiler import graph_fingerprint
 from repro.core import LPUConfig, PAPER_CONFIG
 from repro.models import (
     LayerWorkload,
@@ -42,6 +43,9 @@ from repro.models import (
     vgg16_paper_layers,
     vgg16_workload,
 )
+from repro.netlist import cells
+from repro.netlist.compose import merge_parallel
+from repro.netlist.graph import LogicGraph
 
 SMALL = LPUConfig(num_lpvs=4, lpes_per_lpv=8)
 
@@ -137,6 +141,54 @@ class TestWorkloadGenerator:
         layer = dense_layer("d", 20, 2, pruned_fan_in=5)
         _, sampled = layer_block(layer, sample_neurons=8, seed=0)
         assert sampled == 2
+
+    @pytest.mark.parametrize(
+        "model, seed",
+        [(vgg16_workload, 0), (lenet5_workload, 0), (nid_workload, 2)],
+    )
+    def test_layer_block_matches_two_step_rebuild(self, model, seed):
+        """``layer_block`` rebuilds each neuron once; the block must be the
+        one the former rename-then-rebuild produced, fingerprint for
+        fingerprint (the corpus's recorded fingerprints depend on it)."""
+        layer = max(model().layers, key=lambda l: l.num_neurons)
+        block, _ = layer_block(layer, sample_neurons=6, seed=seed)
+        expected = _two_step_layer_block(layer, sample_neurons=6, seed=seed)
+        assert graph_fingerprint(block) == graph_fingerprint(expected)
+
+
+def _rebuild(graph, name, pi_names, keep_gate_names):
+    out = LogicGraph(name)
+    remap = {}
+    for nid in graph.topological_order():
+        node = graph.nodes[nid]
+        if node.op == cells.INPUT:
+            remap[nid] = out.add_input(pi_names.get(node.name, node.name))
+        elif node.op in (cells.CONST0, cells.CONST1):
+            remap[nid] = out.add_const(1 if node.op == cells.CONST1 else 0)
+        else:
+            gate_name = node.name if keep_gate_names else None
+            remap[nid] = out.add_gate(
+                node.op, *(remap[f] for f in node.fanins), name=gate_name
+            )
+    return out, remap
+
+
+def _two_step_layer_block(layer, sample_neurons, seed):
+    """``layer_block`` as it was: PIs renamed in one rebuild (gate names
+    kept), then a second rebuild dropping gate names and naming the PO."""
+    rng = np.random.default_rng(seed ^ hash(layer.name) & 0xFFFF)
+    graphs = []
+    for j in range(min(sample_neurons, layer.num_neurons)):
+        base = neuron_graph(layer.fan_in, seed * 1009 + j)
+        support = rng.choice(layer.input_bits, size=layer.fan_in, replace=False)
+        mapping = {f"x{i}": f"in{int(support[i])}" for i in range(layer.fan_in)}
+        g, remap = _rebuild(base, base.name, mapping, keep_gate_names=True)
+        for name, nid in base.outputs:
+            g.set_output(name, remap[nid])
+        renamed, remap = _rebuild(g, f"{layer.name}_n{j}", {}, keep_gate_names=False)
+        renamed.set_output(f"{layer.name}_n{j}", remap[g.outputs[0][1]])
+        graphs.append(renamed)
+    return merge_parallel(graphs, name=f"{layer.name}_block")
 
 
 class TestEvaluation:
