@@ -1,14 +1,16 @@
-"""Shared helpers for the experiment benches.
+"""Shared helpers for the paper-artefact benches.
 
-Every bench regenerates one of the paper's tables or figures: it computes
-the experiment data (cached at module scope), times the core kernel with
-pytest-benchmark, renders the table/series, prints it, and archives it
-under ``benchmarks/results/``.
+Every bench here regenerates one of the paper's tables, figures or
+ablations (plus ``bench_fault_recovery.py``, the chaos run CI's
+chaos-smoke job drives): it computes the experiment data (cached at
+module scope), times the core kernel with pytest-benchmark, renders the
+table/series, prints it, and archives it under ``benchmarks/results/``.
+How fast the stack runs is measured elsewhere, by ``python3 bench/run.py``
+(see ``bench/README.md``).
 
-Setting ``REPRO_BENCH_FAST=1`` (CI's bench-smoke job) makes the
-throughput benches shrink their run counts to smoke-test proportions;
-machine-readable results are archived as JSON next to the text tables so
-CI can upload them as artifacts.
+Setting ``REPRO_BENCH_FAST=1`` (CI's chaos-smoke job) shrinks the chaos
+bench to smoke-test proportions; machine-readable results are archived as
+JSON next to the text tables so CI can upload them as artifacts.
 """
 
 import json

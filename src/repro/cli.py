@@ -1,4 +1,4 @@
-"""Command-line interface: compile, simulate, benchmark, and report.
+"""Command-line interface: compile, inspect, simulate, serve, and report.
 
 Usage (after ``pip install -e .``)::
 
@@ -10,18 +10,9 @@ Usage (after ``pip install -e .``)::
     python -m repro.cli inspect model.lpa --verify  (chain replay)
     python -m repro.cli serve block.v --workers 4 --port 8080
     python -m repro.cli serve --artifact block.lpa --store-url http://a:8080/v1/store
-    python -m repro.cli load-bench block.v --requests 512 --clients 8
-    python -m repro.cli load-bench --url http://127.0.0.1:8080 block.v
     python -m repro.cli simulate block.v --seed 7 --engine trace
     python -m repro.cli simulate --artifact block.lpa --engine trace
-    python -m repro.cli throughput block.v --array-size 256 --batches 16
-    python -m repro.cli throughput block.v --engine native --native-threads 8
-    python -m repro.cli throughput --artifact model.lpa --json
     python -m repro.cli calibrate block.v --max-words 256 [--json]
-    python -m repro.cli serve-bench block.v --requests 256 --workers 2
-    python -m repro.cli serve-bench --artifact block.lpa --backend spawn
-    python -m repro.cli stream-bench block.v --steps 512 --flip-bits 1
-    python -m repro.cli stream-bench --artifact block.lpa --random
     python -m repro.cli report block.v --no-merge --policy sequential [--json]
     python -m repro.cli passes block.v [--json] / passes --list
     python -m repro.cli store list /var/cache/repro-store [--json]
@@ -33,27 +24,25 @@ FPS); ``--pipeline`` selects a named compile pipeline (``paper``,
 ``--explain-passes`` appends the per-pass wall-time/size report.
 ``-o/--output`` additionally writes the compiled executable as an
 ahead-of-time ``.lpa`` artifact (:mod:`repro.artifact`) with embedded
-probe vectors (``--probe-words``, default 2); ``inspect``
-prints an artifact's metadata (``--verify`` replays the embedded probes
-through a fresh engine, falling back to a functional cross-check when
-none are packaged), and ``simulate``/``serve-bench`` accept
-``--artifact`` in place of a netlist to run a previously compiled
-executable with zero compilation.
+probe vectors (``--probe-words``, default 2); ``compile --embed-fanout``
+also packages the delta engine's fanout/cone tables so streaming
+deployments boot with zero cone analysis.  ``inspect`` prints an
+artifact's metadata (``--verify`` replays the embedded probes through a
+fresh engine, falling back to a functional cross-check when none are
+packaged), and ``simulate``/``calibrate`` accept ``--artifact`` in place
+of a netlist to run a previously compiled executable with zero
+compilation.
 ``compile --bundle`` compiles several netlists as the stages of one
 format-v2 multi-program bundle (stage PIs wired from the previous
-stage's same-named POs); ``serve --artifact``/``serve-bench``/
-``throughput`` execute a bundle as a software pipeline — one engine per
-stage, bounded inter-stage queues (``--pipeline-depth``) — and
-``inspect --verify`` replays its embedded probes through the whole
-chain.
+stage's same-named POs); ``serve --artifact`` executes a bundle as a
+software pipeline — one engine per stage, bounded inter-stage queues
+(``--pipeline-depth``) — and ``inspect --verify`` replays its embedded
+probes through the whole chain.
 ``serve`` boots a network-addressable fabric node
 (:mod:`repro.serve.fabric`): an asyncio HTTP front-end with admission
 control over the batched serving stack, plus a ``/v1/store`` artifact
 endpoint so further nodes warm-boot from it with zero compile passes
-(``--store-url`` points a cold node at a warm one).  ``load-bench``
-drives such a node with concurrent closed- or open-loop clients and
-reports saturation req/s, p50/p99 latency, and the speedup over
-single-process in-process serving, verifying bit-identical results.
+(``--store-url`` points a cold node at a warm one).
 ``passes`` prints that per-pass report on its own (``--list`` enumerates
 the registered passes and named pipelines without compiling anything).
 ``simulate`` additionally executes the program on the selected
@@ -70,23 +59,11 @@ kernel and the hazard-ordered rowwise stream) up to 2048 words on this
 host and prints the ``--rowwise-min-words`` value to apply, and
 ``inspect --profile`` runs the kernel-level sampling profiler over an
 artifact and reports the slowest levels.
-``throughput`` measures wall-clock inference throughput of the engines
-over repeated batched runs through the :class:`~repro.engine.Session`
-API; with ``--json`` it also reports the process-wide lowering/fusion
-cache counters and per-level execution timing for engine diagnosability.
 ``store`` lists and prunes the on-disk artifact store (LRU by mtime,
-down to ``--max-bytes``).  ``serve-bench`` measures
-the batched serving layer (:mod:`repro.serve`) against naive per-request
-execution under concurrent clients, verifying bit-identical outputs.
-``stream-bench`` measures the incremental ``delta`` engine on a
-low-entropy input stream (``--flip-bits`` per step, or ``--random`` for
-the independent-samples worst case) against dense per-step re-execution,
-verifying bit-identical outputs and statistics; ``compile
---embed-fanout`` additionally packages the delta engine's fanout/cone
-tables in the ``.lpa`` artifact so streaming deployments boot with zero
-cone analysis.  ``report`` prints the per-stage breakdown.  ``--json`` on
-``compile``/``report``/``throughput``/``serve-bench``/``stream-bench``
-emits machine-readable output for benchmark harnesses.
+down to ``--max-bytes``).  ``report`` prints the per-stage breakdown.
+``--json`` on ``compile``/``inspect``/``passes``/``calibrate``/``report``/
+``store`` emits machine-readable output.  Throughput is measured by the
+whole-stack benchmark, ``python3 bench/run.py`` (see ``bench/README.md``).
 """
 
 from __future__ import annotations
@@ -97,19 +74,14 @@ import sys
 import time
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import __version__
 from .artifact import (
     ArtifactBundle,
     ArtifactStore,
-    ExecutableArtifact,
     bundle_model,
     load_artifact,
     peek_header,
 )
-from .core.liveness import fusion_cache_stats
-from .core.trace import lowering_cache_stats
 from .compiler import (
     PIPELINES,
     available_passes,
@@ -119,11 +91,11 @@ from .compiler import (
 from .core import LPUConfig, compile_ffcl
 from .core.partition import partition_summary
 from .core.schedule import schedule_summary
-from .engine import SAMPLES_PER_WORD, Session, available_engines
+from .engine import Session, available_engines
 from .engine.native import FALLBACK_CHAIN as NATIVE_BACKENDS
 from .lpu import cross_check, random_stimulus
 from .netlist import parse_bench, parse_verilog
-from .serve import ServeConfig, run_serve_bench, run_stream_bench
+from .serve import ServeConfig
 from .serve.pool import BACKENDS, PLACEMENTS
 
 
@@ -229,32 +201,13 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_batching_options(parser: argparse.ArgumentParser) -> None:
-    """The micro-batching flags; defaults are :class:`ServeConfig`'s."""
-    parser.add_argument(
-        "--max-batch", type=_positive_int,
-        default=ServeConfig.max_batch_size,
-        help="max requests coalesced into one engine run",
-    )
-    parser.add_argument(
-        "--max-wait-ms", type=float, default=ServeConfig.max_wait_ms,
-        help="longest a request waits for its batch to fill: a "
-        "non-full batch is dispatched at this deadline, or as soon "
-        "as a worker is free",
-    )
-
-
-def _engine_options(
-    args: argparse.Namespace, engine: str, *, strict: bool = True
-) -> Optional[dict]:
+def _engine_options(args: argparse.Namespace, engine: str) -> Optional[dict]:
     """Collect the ``--native-*``/``--rowwise-min-words`` flags into the
     engine-constructor options dict for ``engine``.
 
-    Returns ``None`` when no applicable flag is set.  With ``strict``
-    (the default), flags the selected engine does not understand exit
-    with an error instead of being silently dropped; ``strict=False``
-    (the ``throughput --engine all`` sweep) applies each flag only to
-    the engines that accept it.
+    Returns ``None`` when no applicable flag is set.  Flags the selected
+    engine does not understand exit with an error instead of being
+    silently dropped.
     """
     native = {}
     if getattr(args, "native_backend", None) is not None:
@@ -270,18 +223,17 @@ def _engine_options(
         if rowwise is not None:
             options["rowwise_min_words"] = rowwise
     elif engine in ("fused", "delta"):
-        if native and strict:
+        if native:
             raise SystemExit(
                 "error: --native-* options require --engine native"
             )
         if rowwise is not None:
             options["rowwise_min_words"] = rowwise
     elif native or rowwise is not None:
-        if strict:
-            raise SystemExit(
-                "error: engine tuning options apply to the "
-                f"native/fused/delta engines, not {engine!r}"
-            )
+        raise SystemExit(
+            "error: engine tuning options apply to the "
+            f"native/fused/delta engines, not {engine!r}"
+        )
     return options or None
 
 
@@ -327,8 +279,8 @@ def _resolve_program(args: argparse.Namespace):
         if isinstance(artifact, ArtifactBundle):
             raise SystemExit(
                 f"error: {args.artifact} is a multi-program bundle; "
-                "this command needs a single-program artifact (serve, "
-                "serve-bench, throughput, and inspect accept bundles)"
+                "this command needs a single-program artifact (serve "
+                "and inspect accept bundles)"
             )
         return artifact.program, None, artifact
     if args.netlist is None:
@@ -794,200 +746,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _throughput_bundle(bundle, args: argparse.Namespace) -> int:
-    """``throughput --artifact model.lpa`` on a bundle: whole-model
-    serial per-stage runs vs the pipelined executor, with per-stage
-    occupancy/queue-depth counters in the ``--json`` report."""
-    from .pipeline import PipelineExecutor, SerialChainRunner
-
-    if args.engine == "all":
-        raise SystemExit(
-            "error: --engine all is not supported with a bundle "
-            "artifact; pick one engine"
-        )
-    options = _engine_options(args, args.engine)
-    graph = bundle.reference_graph()
-    stimuli = [
-        random_stimulus(graph, array_size=args.array_size, seed=args.seed + b)
-        for b in range(args.batches)
-    ]
-    runner = SerialChainRunner(
-        bundle, engine=args.engine, engine_options=options
-    )
-    runner.run(stimuli[0])  # warm-up
-    start = time.perf_counter()
-    serial_results = [runner.run(stim) for stim in stimuli]
-    serial_seconds = time.perf_counter() - start
-    executor = PipelineExecutor(
-        bundle, engine=args.engine, engine_options=options,
-        depth=args.pipeline_depth,
-    )
-    try:
-        executor.run(stimuli[0])  # warm-up
-        executor.reset_stats()
-        start = time.perf_counter()
-        piped_results = executor.map(stimuli)
-        piped_seconds = time.perf_counter() - start
-        pipeline_stats = executor.stats()
-    finally:
-        executor.close()
-    bit_identical = all(
-        serial.macro_cycles == piped.macro_cycles
-        and all(
-            np.array_equal(serial.outputs[name], piped.outputs[name])
-            for name in serial.outputs
-        )
-        for serial, piped in zip(serial_results, piped_results)
-    )
-    report = {
-        "artifact": args.artifact,
-        "graph": graph.name,
-        "stages": bundle.num_stages,
-        "engine": args.engine,
-        "array_size": args.array_size,
-        "batches": args.batches,
-        "samples_per_run": SAMPLES_PER_WORD * args.array_size,
-        "macro_cycles_per_run": sum(
-            member.program.schedule.makespan for member in bundle.members
-        ),
-        "serial": {
-            "seconds": serial_seconds,
-            "runs_per_second": (
-                args.batches / serial_seconds if serial_seconds > 0 else None
-            ),
-        },
-        "pipelined": {
-            "seconds": piped_seconds,
-            "runs_per_second": (
-                args.batches / piped_seconds if piped_seconds > 0 else None
-            ),
-        },
-        "speedup": (
-            serial_seconds / piped_seconds if piped_seconds > 0 else None
-        ),
-        "bit_identical": bit_identical,
-        "pipeline": pipeline_stats,
-    }
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-        return 0 if bit_identical else 1
-    print(
-        f"throughput: {bundle.name} ({bundle.num_stages} stages, "
-        f"{args.engine} engine) over {args.batches} batches x "
-        f"{report['samples_per_run']} samples"
-    )
-    print(
-        f"  serial   : {report['serial']['runs_per_second']:>10,.1f} runs/s "
-        f"({serial_seconds:.3f}s wall)"
-    )
-    print(
-        f"  pipelined: {report['pipelined']['runs_per_second']:>10,.1f} "
-        f"runs/s ({piped_seconds:.3f}s wall)"
-    )
-    print(
-        f"  speedup {report['speedup']:.2f}x, bit-identical: "
-        f"{bit_identical}"
-    )
-    for stage in pipeline_stats["stages"]:
-        print(
-            f"  stage {stage['stage']}: busy "
-            f"{stage['busy_fraction'] * 100:.0f}%, queue depth "
-            f"p50 {stage['queue_depth_p50']:.0f} / "
-            f"p99 {stage['queue_depth_p99']:.0f}"
-        )
-    return 0 if bit_identical else 1
-
-
-def cmd_throughput(args: argparse.Namespace) -> int:
-    result = None
-    if args.artifact is not None:
-        loaded = load_artifact(args.artifact)
-        if isinstance(loaded, ArtifactBundle):
-            return _throughput_bundle(loaded, args)
-        program = loaded.program
-    else:
-        if args.netlist is None:
-            raise SystemExit(
-                "error: either a netlist or --artifact FILE is required"
-            )
-        result = _compile(args)
-        if not _require_program(result, args):
-            return 2
-        program = result.program
-    graph = program.graph
-    engines = (
-        available_engines() if args.engine == "all" else [args.engine]
-    )
-    stimuli = [
-        random_stimulus(graph, array_size=args.array_size, seed=args.seed + b)
-        for b in range(args.batches)
-    ]
-    word_bits = program.config.word_bits
-    report = {
-        "netlist": args.netlist,
-        "artifact": args.artifact,
-        "graph": graph.name,
-        "array_size": args.array_size,
-        "batches": args.batches,
-        "samples_per_run": SAMPLES_PER_WORD * args.array_size,
-        "engines": {},
-    }
-    for engine in engines:
-        options = _engine_options(
-            args, engine, strict=(args.engine != "all")
-        )
-        session = Session(
-            program, engine=engine, engine_options=options
-        )
-        session.run(stimuli[0])  # warm-up: amortized lowering/caches
-        start = time.perf_counter()
-        for stim in stimuli:
-            session.run(stim)
-        elapsed = time.perf_counter() - start
-        samples = SAMPLES_PER_WORD * args.array_size * args.batches
-        report["engines"][engine] = {
-            "seconds": elapsed,
-            "samples_per_second": samples / elapsed if elapsed > 0 else None,
-            "runs_per_second": args.batches / elapsed if elapsed > 0 else None,
-            "macro_cycles_per_run": program.schedule.makespan,
-            "modeled_fps": program.config.fps(program.schedule.makespan),
-        }
-        if options:
-            report["engines"][engine]["engine_options"] = options
-        if hasattr(session.engine, "backend_stats"):
-            report["engines"][engine]["native"] = (
-                session.engine.backend_stats()
-            )
-        if args.json and hasattr(session.engine, "profile_levels"):
-            # Per-level wall time: the diagnostic trail CI archives so an
-            # engine regression points at the level that slowed down.
-            records = session.engine.profile_levels(stimuli[0])
-            report["engines"][engine]["level_timing"] = {
-                "total_seconds": sum(r["seconds"] for r in records),
-                "levels": records,
-            }
-    report["modeled_word_bits"] = word_bits
-    report["lowering_cache"] = lowering_cache_stats()
-    report["fusion_cache"] = fusion_cache_stats()
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-        return 0
-    if result is not None:
-        print(result.metrics)
-    else:
-        print(f"artifact: {args.artifact}")
-    print(
-        f"throughput over {args.batches} batches x "
-        f"{SAMPLES_PER_WORD * args.array_size} samples:"
-    )
-    for engine, stats in report["engines"].items():
-        print(
-            f"  {engine:>6}: {stats['samples_per_second']:>16,.0f} samples/s "
-            f"({stats['seconds']:.3f}s wall)"
-        )
-    return 0
-
-
 def cmd_calibrate(args: argparse.Namespace) -> int:
     program, result, artifact = _resolve_program(args)
     if result is not None and not _require_program(result, args):
@@ -1042,138 +800,8 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_serve_bench(args: argparse.Namespace) -> int:
-    result = None
-    if args.artifact is not None:
-        # load_artifact dispatches on format version: a v1 artifact
-        # benches the replica pool, a v2 bundle the stage pipeline.
-        source = load_artifact(args.artifact)
-    else:
-        if args.netlist is None:
-            raise SystemExit(
-                "error: either a netlist or --artifact FILE is required"
-            )
-        result = _compile(args)
-        if not _require_program(result, args):
-            return 2
-        source = result.program
-    serving = ServeConfig(
-        engine=args.engine,
-        engine_options=_engine_options(args, args.engine) or {},
-        num_workers=args.workers,
-        max_batch_size=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
-        placement=args.placement,
-        backend=args.backend,
-        pipeline_depth=args.pipeline_depth,
-    )
-    report = run_serve_bench(
-        source,
-        serving=serving,
-        requests=args.requests,
-        array_size=args.array_size,
-        clients=args.clients,
-        seed=args.seed,
-    )
-    report["netlist"] = args.netlist
-    report["artifact"] = args.artifact
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-        return 0 if report["bit_identical"] else 1
-    if result is not None:
-        print(result.metrics)
-    else:
-        print(f"artifact: {args.artifact}")
-    print(
-        f"serve-bench: {args.requests} requests x "
-        f"{report['samples_per_request']} samples, {args.clients} clients, "
-        f"{args.workers} workers ({args.backend}/{args.placement})"
-    )
-    print(
-        f"  naive : {report['naive']['requests_per_second']:>12,.0f} req/s "
-        f"({report['naive']['seconds']:.3f}s wall)"
-    )
-    print(
-        f"  served: {report['served']['requests_per_second']:>12,.0f} req/s "
-        f"({report['served']['seconds']:.3f}s wall)"
-    )
-    print(
-        f"  speedup {report['speedup']:.2f}x, mean batch "
-        f"{report['scheduler']['mean_batch']:.1f}, bit-identical: "
-        f"{report['bit_identical']}"
-    )
-    if report.get("pipeline") is not None:
-        for stage in report["pipeline"]["stages"]:
-            print(
-                f"  stage {stage['stage']}: busy "
-                f"{stage['busy_fraction'] * 100:.0f}%, queue depth "
-                f"p50 {stage['queue_depth_p50']:.0f} / "
-                f"p99 {stage['queue_depth_p99']:.0f}"
-            )
-    return 0 if report["bit_identical"] else 1
-
-
-def cmd_stream_bench(args: argparse.Namespace) -> int:
-    program, result, artifact = _resolve_program(args)
-    if result is not None and not _require_program(result, args):
-        return 2
-    report = run_stream_bench(
-        artifact if artifact is not None else program,
-        engine=args.engine,
-        baseline_engine=args.baseline_engine,
-        steps=args.steps,
-        flip_bits=args.flip_bits,
-        array_size=args.array_size,
-        random_stream=args.random,
-        seed=args.seed,
-        num_workers=args.workers,
-    )
-    report["netlist"] = args.netlist
-    report["artifact"] = args.artifact
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-        return 0 if report["bit_identical"] else 1
-    if result is not None:
-        print(result.metrics)
-    else:
-        print(f"artifact: {args.artifact}")
-    entropy = (
-        "independent random samples" if args.random
-        else f"{args.flip_bits} bit flips/step"
-    )
-    print(
-        f"stream-bench: {args.steps} steps x "
-        f"{report['samples_per_step']} samples ({entropy})"
-    )
-    print(
-        f"  {report['baseline_engine']:>6}: "
-        f"{report['baseline']['steps_per_second']:>12,.0f} steps/s "
-        f"({report['baseline']['seconds']:.3f}s wall)"
-    )
-    print(
-        f"  {report['engine']:>6}: "
-        f"{report['streaming']['steps_per_second']:>12,.0f} steps/s "
-        f"({report['streaming']['seconds']:.3f}s wall)"
-    )
-    delta = report["delta"]
-    if delta is not None:
-        print(
-            f"  runs: {delta['sparse_runs']} sparse, "
-            f"{delta['clean_runs']} clean, "
-            f"{delta['dense_fallback_runs']} dense-fallback, "
-            f"{delta['full_runs']} full; "
-            f"{delta['sparse_instructions']} instructions executed "
-            f"sparsely (one dense run = {delta['num_instructions']})"
-        )
-    print(
-        f"  speedup {report['speedup']:.2f}x, bit-identical: "
-        f"{report['bit_identical']}"
-    )
-    return 0 if report["bit_identical"] else 1
-
-
 def _serving_source(args: argparse.Namespace):
-    """(source, config) for the fabric commands.
+    """(source, config) for ``serve``.
 
     Unlike :func:`_resolve_program` this does **not** compile a netlist
     here — the graph goes to the node's program cache, so a node wired
@@ -1194,9 +822,9 @@ def _serving_source(args: argparse.Namespace):
 
 def _serve_config(args: argparse.Namespace) -> ServeConfig:
     store = None
-    if getattr(args, "store", None) is not None:
+    if args.store is not None:
         store = ArtifactStore(args.store)
-    elif getattr(args, "store_url", None) is not None:
+    elif args.store_url is not None:
         from .artifact import HTTPStoreBackend
 
         store = HTTPStoreBackend(args.store_url)
@@ -1213,7 +841,7 @@ def _serve_config(args: argparse.Namespace) -> ServeConfig:
         num_workers=args.workers,
         max_batch_size=args.max_batch,
         max_wait_ms=args.max_wait_ms,
-        default_deadline_ms=getattr(args, "deadline_ms", None),
+        default_deadline_ms=args.deadline_ms,
         placement=args.placement,
         backend=args.backend,
         share_tables=args.share_tables,
@@ -1290,69 +918,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 signal.signal(signum, handler)
             except (ValueError, OSError):  # pragma: no cover
                 pass
-
-
-def cmd_load_bench(args: argparse.Namespace) -> int:
-    from .serve.fabric import FabricConfig, run_load_bench
-
-    source, config = _serving_source(args)
-    report = run_load_bench(
-        source,
-        config,
-        serving=_serve_config(args),
-        fabric=FabricConfig(
-            max_inflight=args.max_inflight,
-            client_rate=args.client_rate,
-            client_burst=args.client_burst,
-        ),
-        url=args.url,
-        requests=args.requests,
-        clients=args.clients,
-        array_size=args.array_size,
-        seed=args.seed,
-        mode=args.mode,
-        target_rps=args.target_rps,
-        wire=args.wire,
-        baseline=not args.no_baseline,
-        verify=not args.no_verify,
-    )
-    report["netlist"] = args.netlist
-    report["artifact"] = args.artifact
-    ok = report["bit_identical"] is not False
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-        return 0 if ok else 1
-    fab = report["fabric"]
-    loop_desc = (
-        f"open loop @ {args.target_rps:g} req/s"
-        if args.mode == "open"
-        else "closed loop"
-    )
-    print(
-        f"load-bench: {args.requests} requests x "
-        f"{report['samples_per_request']} samples, {args.clients} "
-        f"client(s), {loop_desc}, {args.wire} wire"
-    )
-    print(
-        f"  fabric : {fab['requests_per_second']:>12,.0f} req/s  "
-        f"p50 {fab['latency_p50_ms']:.2f}ms  "
-        f"p99 {fab['latency_p99_ms']:.2f}ms  "
-        f"({fab['rejections']} rejections)"
-    )
-    baseline = report["baseline_single_process"]
-    if baseline is not None:
-        print(
-            f"  single : {baseline['requests_per_second']:>12,.0f} req/s "
-            f"(in-process, 1 worker)"
-        )
-        print(
-            f"  speedup {report['speedup_vs_single_process']:.2f}x over "
-            f"single-process serve on {report['cpu_count']} core(s), "
-            f"bit-identical: {report['bit_identical']}"
-        )
-    else:
-        print(f"  bit-identical: {report['bit_identical']}")
-    return 0 if ok else 1
 
 
 _SIZE_SUFFIXES = {"k": 1 << 10, "m": 1 << 20, "g": 1 << 30}
@@ -1587,36 +1152,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=0, help="stimulus seed")
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_thr = sub.add_parser(
-        "throughput", help="measure batched inference throughput"
-    )
-    _add_common(p_thr, netlist_optional=True)
-    _add_artifact_source(p_thr)
-    p_thr.add_argument(
-        "--engine",
-        choices=available_engines() + ["all"],
-        default="trace",
-        help="execution engine ('all' compares every registered engine)",
-    )
-    _add_engine_options(p_thr)
-    p_thr.add_argument(
-        "--pipeline-depth", type=_positive_int, default=4,
-        help="bundle artifacts: inter-stage queue bound, in batches",
-    )
-    p_thr.add_argument(
-        "--array-size", type=_positive_int, default=64,
-        help="uint64 words per primary input per run (64 samples each)",
-    )
-    p_thr.add_argument(
-        "--batches", type=_positive_int, default=8,
-        help="timed Session.run calls",
-    )
-    p_thr.add_argument("--seed", type=int, default=0, help="stimulus seed")
-    p_thr.add_argument(
-        "--json", action="store_true", help="emit measurements as JSON"
-    )
-    p_thr.set_defaults(func=cmd_throughput)
-
     p_cal = sub.add_parser(
         "calibrate",
         help="time the vector kernel against the rowwise (hazard-ordered "
@@ -1645,145 +1180,68 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cal.set_defaults(func=cmd_calibrate)
 
-    p_serve = sub.add_parser(
-        "serve-bench",
-        help="measure the batched serving layer vs naive per-request runs",
-    )
-    _add_common(p_serve, netlist_optional=True)
-    _add_artifact_source(p_serve)
-    _add_engine(p_serve, default="trace")
-    _add_engine_options(p_serve)
-    p_serve.add_argument(
-        "--requests", type=_positive_int, default=256,
-        help="inference requests to serve",
-    )
-    p_serve.add_argument(
-        "--array-size", type=_positive_int, default=2,
-        help="uint64 words per primary input per request (64 samples each)",
-    )
-    p_serve.add_argument(
-        "--clients", type=_positive_int, default=8,
-        help="concurrent client threads submitting requests",
-    )
-    p_serve.add_argument(
-        "--workers", type=_positive_int, default=2,
-        help="engine workers in the serving pool",
-    )
-    _add_batching_options(p_serve)
-    p_serve.add_argument(
-        "--placement", choices=PLACEMENTS, default="round_robin",
-        help="worker placement policy",
-    )
-    p_serve.add_argument(
-        "--backend", choices=BACKENDS, default="thread",
-        help="worker backend",
-    )
-    p_serve.add_argument(
-        "--pipeline-depth", type=_positive_int, default=4,
-        help="bundle artifacts: inter-stage queue bound, in batches",
-    )
-    p_serve.add_argument("--seed", type=int, default=0, help="stimulus seed")
-    p_serve.add_argument(
-        "--json", action="store_true", help="emit measurements as JSON"
-    )
-    p_serve.set_defaults(func=cmd_serve_bench)
-
-    p_stream = sub.add_parser(
-        "stream-bench",
-        help="measure incremental streaming (delta engine) vs dense "
-        "per-step re-execution",
-    )
-    _add_common(p_stream, netlist_optional=True)
-    _add_artifact_source(p_stream)
-    _add_engine(p_stream, default="delta")
-    p_stream.add_argument(
-        "--baseline-engine",
-        choices=available_engines(),
-        default="fused",
-        help="dense engine to compare against",
-    )
-    p_stream.add_argument(
-        "--steps", type=_positive_int, default=256,
-        help="stream length in samples",
-    )
-    p_stream.add_argument(
-        "--flip-bits", type=_positive_int, default=1,
-        help="bits flipped per step in the low-entropy random walk",
-    )
-    p_stream.add_argument(
-        "--array-size", type=_positive_int, default=1,
-        help="uint64 words per primary input per step (64 samples each)",
-    )
-    p_stream.add_argument(
-        "--random", action="store_true",
-        help="draw every step independently instead (the incremental "
-        "worst case; exercises the dense fallback)",
-    )
-    p_stream.add_argument(
-        "--workers", type=_positive_int, default=1,
-        help="streaming server worker threads",
-    )
-    p_stream.add_argument("--seed", type=int, default=0, help="stream seed")
-    p_stream.add_argument(
-        "--json", action="store_true", help="emit measurements as JSON"
-    )
-    p_stream.set_defaults(func=cmd_stream_bench)
-
-    def _add_fabric_serving(p: argparse.ArgumentParser) -> None:
-        _add_common(p, netlist_optional=True)
-        _add_artifact_source(p)
-        _add_engine(p, default="fused")
-        _add_engine_options(p)
-        p.add_argument(
-            "--workers", type=_positive_int, default=2,
-            help="engine workers in the node's serving pool",
-        )
-        p.add_argument(
-            "--backend", choices=BACKENDS, default="thread",
-            help="worker backend",
-        )
-        p.add_argument(
-            "--placement", choices=PLACEMENTS, default="round_robin",
-            help="worker placement policy",
-        )
-        _add_batching_options(p)
-        p.add_argument(
-            "--deadline-ms", type=float, default=None,
-            help="default per-request deadline: requests the node "
-            "cannot answer in time fail with HTTP 504 instead of "
-            "waiting forever (default: no deadline)",
-        )
-        p.add_argument(
-            "--share-tables", action="store_true",
-            help="map fused tables into one shared-memory arena across "
-            "spawn workers (one copy instead of N)",
-        )
-        p.add_argument(
-            "--pipeline-depth", type=_positive_int, default=4,
-            help="bundle artifacts: inter-stage queue bound, in batches "
-            "(the pipeline executor's backpressure knob)",
-        )
-        p.add_argument(
-            "--max-inflight", type=_positive_int, default=64,
-            help="node-wide admission cap on in-flight requests "
-            "(beyond it: HTTP 503)",
-        )
-        p.add_argument(
-            "--client-rate", type=float, default=None, metavar="RPS",
-            help="per-client admission rate (token bucket; beyond it: "
-            "HTTP 429 with Retry-After); default unlimited",
-        )
-        p.add_argument(
-            "--client-burst", type=float, default=8.0,
-            help="per-client token-bucket burst reserve",
-        )
-
     p_fserve = sub.add_parser(
         "serve",
         help="boot a fabric node: async HTTP inference front-end + "
         "shared artifact store",
     )
-    _add_fabric_serving(p_fserve)
+    _add_common(p_fserve, netlist_optional=True)
+    _add_artifact_source(p_fserve)
+    _add_engine(p_fserve, default="fused")
+    _add_engine_options(p_fserve)
+    p_fserve.add_argument(
+        "--workers", type=_positive_int, default=2,
+        help="engine workers in the node's serving pool",
+    )
+    p_fserve.add_argument(
+        "--backend", choices=BACKENDS, default="thread",
+        help="worker backend",
+    )
+    p_fserve.add_argument(
+        "--placement", choices=PLACEMENTS, default="round_robin",
+        help="worker placement policy",
+    )
+    p_fserve.add_argument(
+        "--max-batch", type=_positive_int,
+        default=ServeConfig.max_batch_size,
+        help="max requests coalesced into one engine run",
+    )
+    p_fserve.add_argument(
+        "--max-wait-ms", type=float, default=ServeConfig.max_wait_ms,
+        help="longest a request waits for its batch to fill: a "
+        "non-full batch is dispatched at this deadline, or as soon "
+        "as a worker is free",
+    )
+    p_fserve.add_argument(
+        "--deadline-ms", type=float, default=None,
+        help="default per-request deadline: requests the node "
+        "cannot answer in time fail with HTTP 504 instead of "
+        "waiting forever (default: no deadline)",
+    )
+    p_fserve.add_argument(
+        "--share-tables", action="store_true",
+        help="map fused tables into one shared-memory arena across "
+        "spawn workers (one copy instead of N)",
+    )
+    p_fserve.add_argument(
+        "--pipeline-depth", type=_positive_int, default=4,
+        help="bundle artifacts: inter-stage queue bound, in batches "
+        "(the pipeline executor's backpressure knob)",
+    )
+    p_fserve.add_argument(
+        "--max-inflight", type=_positive_int, default=64,
+        help="node-wide admission cap on in-flight requests "
+        "(beyond it: HTTP 503)",
+    )
+    p_fserve.add_argument(
+        "--client-rate", type=float, default=None, metavar="RPS",
+        help="per-client admission rate (token bucket; beyond it: "
+        "HTTP 429 with Retry-After); default unlimited",
+    )
+    p_fserve.add_argument(
+        "--client-burst", type=float, default=8.0,
+        help="per-client token-bucket burst reserve",
+    )
     p_fserve.add_argument(
         "--host", default="127.0.0.1", help="bind address"
     )
@@ -1812,58 +1270,6 @@ def build_parser() -> argparse.ArgumentParser:
         "uploads into the store (reject corrupt artifacts with 422)",
     )
     p_fserve.set_defaults(func=cmd_serve)
-
-    p_load = sub.add_parser(
-        "load-bench",
-        help="drive a fabric node with concurrent clients; report "
-        "saturation req/s, p50/p99 latency, speedup vs single-process",
-    )
-    _add_fabric_serving(p_load)
-    p_load.add_argument(
-        "--url", default=None, metavar="URL",
-        help="aim at an already-running node instead of booting one "
-        "(the netlist/artifact is still used for stimuli and the "
-        "baseline)",
-    )
-    p_load.add_argument(
-        "--requests", type=_positive_int, default=256,
-        help="inference requests to issue",
-    )
-    p_load.add_argument(
-        "--clients", type=_positive_int, default=4,
-        help="concurrent client connections",
-    )
-    p_load.add_argument(
-        "--array-size", type=_positive_int, default=2,
-        help="uint64 words per primary input per request (64 samples "
-        "each)",
-    )
-    p_load.add_argument(
-        "--mode", choices=("closed", "open"), default="closed",
-        help="closed loop (saturation) or open loop (fixed offered "
-        "rate; needs --target-rps)",
-    )
-    p_load.add_argument(
-        "--target-rps", type=float, default=None,
-        help="offered request rate for --mode open",
-    )
-    p_load.add_argument(
-        "--wire", choices=("binary", "json"), default="binary",
-        help="wire format clients speak",
-    )
-    p_load.add_argument(
-        "--no-baseline", action="store_true",
-        help="skip the single-process in-process serve() comparison",
-    )
-    p_load.add_argument(
-        "--no-verify", action="store_true",
-        help="skip the bit-identity check against direct execution",
-    )
-    p_load.add_argument("--seed", type=int, default=0, help="stimulus seed")
-    p_load.add_argument(
-        "--json", action="store_true", help="emit measurements as JSON"
-    )
-    p_load.set_defaults(func=cmd_load_bench)
 
     p_store = sub.add_parser(
         "store",

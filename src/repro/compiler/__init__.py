@@ -8,7 +8,7 @@ stage as a :class:`~repro.compiler.passes.Pass` over one
 :class:`~repro.compiler.state.CompileState`, run by a
 :class:`~repro.compiler.manager.PassManager`, which unlocks per-pass
 instrumentation, pass-level result caching, pipeline ablations
-(merge on/off, custom pass lists), and parallel per-MFG codegen.  The old
+(merge on/off, custom pass lists), and per-MFG codegen.  The old
 entry points survive as thin facades over the ``paper`` pipeline with
 bit-identical results.
 
@@ -39,12 +39,12 @@ Module map
     re-use every pass up to the first divergence.  Also the canonical
     :func:`graph_fingerprint`.
 ``codegen_parallel``
-    :func:`generate_program_parallel`: the three-phase (plan / parallel
+    :func:`generate_program_parallel`: the three-phase (plan / per-MFG
     emit / deterministic merge) instruction generator, bit-identical to
-    :func:`repro.core.codegen.generate_program` and >= 2x faster.
+    the sequential reference in ``tests/codegen_reference.py``.
 ``report``
-    Text/JSON rendering of pass records for ``repro passes`` and the
-    pass-timing bench.
+    Text/JSON rendering of pass records for ``repro passes`` and
+    ``repro compile --explain-passes``.
 """
 
 from .cache import PassCache, PassCacheStats, graph_fingerprint

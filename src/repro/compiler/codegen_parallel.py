@@ -1,38 +1,34 @@
-"""Parallel per-MFG instruction generation (the pass-manager codegen pass).
+"""Per-MFG instruction generation (the pass-manager codegen pass).
 
 :func:`generate_program_parallel` produces a :class:`~repro.core.codegen.Program`
-bit-identical to the sequential reference
-(:func:`repro.core.codegen.generate_program`) while restructuring the work
-into three phases so the expensive part runs per-MFG with no shared mutable
+bit-identical to the sequential reference generator (kept as the test
+oracle ``tests/codegen_reference.py``) while restructuring the work into
+three phases so the expensive part runs per-MFG with no shared mutable
 state:
 
 1. **plan** (sequential) — bottom-level column assignment through the
    snapshot allocator, compute-column marking, and the direct/buffered
    classification of every child edge.  This phase is order-dependent
    (allocator state threads through the MFGs in issue order) and cheap, so
-   it stays sequential and byte-for-byte reproduces the reference
-   allocator decisions.
-2. **emit** (parallel) — per-MFG port resolution and instruction emission
-   against read-only inputs (the schedule, the logic graph, and the phase-1
+   it byte-for-byte reproduces the reference allocator decisions.
+2. **emit** — per-MFG port resolution and instruction emission against
+   read-only inputs (the schedule, the logic graph, and the phase-1
    plans).  Each MFG yields a self-contained bundle of compute
-   instructions, latch directives, buffer traffic, and PI reads.  Bundles
-   are computed by a thread pool when ``workers > 1`` and merged in issue
-   order, so the result never depends on thread timing.
+   instructions, latch directives, buffer traffic, and PI reads.
 3. **merge** (sequential) — bundles are folded into the global instruction
    queues and buffer-event stream in the same order the reference
    implementation visits them, then frozen into immutable
    :class:`~repro.core.isa.LPEInstruction` vectors.
 
-The emit phase is also substantially faster than the reference (interned
-port specs, precomputed fanin tables, no intermediate mutable-instruction
-objects), so the pass wins wall-clock even on a single core; on multi-core
-hosts the thread pool additionally overlaps the per-MFG emission work.
+The emit phase is what makes it faster than the reference (interned port
+specs, precomputed fanin tables, no intermediate mutable-instruction
+objects).  It is pure Python, so it runs inline: threads would only take
+turns on the interpreter lock.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from ..netlist import cells
 from ..netlist.graph import LogicGraph
@@ -60,10 +56,6 @@ from ..core.schedule import Schedule, ScheduledMFG, ScheduleError
 __all__ = ["generate_program_parallel"]
 
 _PORT_NAMES = (PORT_A, PORT_B)
-
-#: Below this many MFGs the thread-pool dispatch overhead outweighs any
-#: overlap, so the emit phase runs inline regardless of ``workers``.
-_MIN_PARALLEL_ITEMS = 8
 
 
 class _Plan:
@@ -211,7 +203,7 @@ def _build_plans(
 
 
 class _Emitter:
-    """Phase 2: pure per-MFG emission against read-only shared state."""
+    """Phase 2: per-MFG emission against read-only shared state."""
 
     def __init__(
         self,
@@ -412,24 +404,14 @@ def generate_program_parallel(
     schedule: Schedule,
     graph: LogicGraph,
     config: LPUConfig,
-    workers: Optional[int] = None,
 ) -> Program:
-    """Generate instruction queues and buffer traffic for ``schedule``.
-
-    Bit-identical to :func:`repro.core.codegen.generate_program`;
-    ``workers`` bounds the emit-phase thread pool (``None`` or ``1`` runs
-    the emit phase inline).
-    """
+    """Generate instruction queues and buffer traffic for ``schedule``."""
     m = config.m
     items = sorted(schedule.items, key=lambda it: (it.issue_cycle, it.mfg.uid))
     plans, buffer_spills = _build_plans(items, schedule, m)
     emitter = _Emitter(schedule, graph, config, plans)
 
-    if workers is not None and workers > 1 and len(plans) >= _MIN_PARALLEL_ITEMS:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            bundles = list(pool.map(emitter.emit, plans))
-    else:
-        bundles = [emitter.emit(plan) for plan in plans]
+    bundles = [emitter.emit(plan) for plan in plans]
 
     # ---- phase 3: deterministic merge in issue order ----------------------
     mutable: Dict[Tuple[int, int], Dict[int, list]] = {}

@@ -146,7 +146,7 @@ def compile_with_pipeline(
     """Compile through a named/custom pipeline to a ``CompileResult``.
 
     ``option_kwargs`` populate :class:`CompileOptions` (``policy``,
-    ``basis``, ``codegen_workers``, ...).  The pipeline must produce the
+    ``basis``, ``optimize``, ``max_mfgs``).  The pipeline must produce the
     classic facade artifacts (run through ``levelize``, ``partition``,
     ``schedule``, and ``metrics``); partial pipelines should use
     :class:`PassManager` directly and work with the returned state.

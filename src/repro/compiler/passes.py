@@ -31,7 +31,6 @@ A pass declares:
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Dict, List, Tuple
 
 from ..core.merge import merge_partition
@@ -298,25 +297,20 @@ class SchedulePass(Pass):
 
 @register_pass
 class CodegenPass(Pass):
-    """Parallel per-MFG instruction generation (bit-identical to the
-    sequential reference for every worker count)."""
+    """Per-MFG instruction generation (bit-identical to the sequential
+    reference generator)."""
 
     name = "codegen"
     provides = ("program",)
 
     def signature(self, state: CompileState) -> Tuple:
-        # codegen_workers is deliberately absent: worker count never
-        # changes the generated program.
         return (state.config,)
 
     def run(self, state: CompileState) -> None:
         schedule = state.require("schedule", self.name)
         pre = state.require("preprocess", self.name)
-        workers = state.options.codegen_workers
-        if workers is None:
-            workers = os.cpu_count() or 1
         state.program = generate_program_parallel(
-            schedule, pre.graph, state.config, workers=workers
+            schedule, pre.graph, state.config
         )
 
 

@@ -50,10 +50,6 @@ class CompileOptions:
     optimize: bool = True
     basis: Optional[FrozenSet[str]] = None
     max_mfgs: int = 500_000
-    #: emit-phase thread-pool width of the codegen pass; ``None`` uses the
-    #: host CPU count.  Never part of any cache identity: the generated
-    #: program is bit-identical for every worker count.
-    codegen_workers: Optional[int] = None
 
 
 @dataclass

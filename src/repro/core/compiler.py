@@ -117,7 +117,6 @@ def compile_ffcl(
     basis: Optional[FrozenSet[str]] = None,
     max_mfgs: int = 500_000,
     pipeline: Optional[object] = None,
-    codegen_workers: Optional[int] = None,
     pass_cache: Optional[object] = None,
     source_fingerprint: Optional[str] = None,
 ) -> CompileResult:
@@ -137,9 +136,6 @@ def compile_ffcl(
         pipeline: optional pipeline spec (a name like ``"paper"``, a
             comma-separated pass list, or a sequence of pass names)
             overriding the pass list the other keywords imply.
-        codegen_workers: emit-phase thread-pool width of the codegen pass
-            (``None`` = host CPU count; the program is bit-identical for
-            every value).
         pass_cache: optional :class:`repro.compiler.PassCache` memoizing
             per-pass results across compiles.
         source_fingerprint: ``repro.compiler.graph_fingerprint(graph)`` if
@@ -158,7 +154,6 @@ def compile_ffcl(
         optimize=optimize,
         basis=basis,
         max_mfgs=max_mfgs,
-        codegen_workers=codegen_workers,
     )
     state = PassManager(pipeline, cache=pass_cache).run(
         graph, config, options, source_fingerprint=source_fingerprint

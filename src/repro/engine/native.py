@@ -38,8 +38,7 @@ are cached on the ``FusedProgram`` (``native_cache``) alongside the
 exec-generated kernel, so a worker pool over one program packs once.
 
 Outputs AND statistics are bit-identical to every other engine; the
-parity matrix in ``tests/test_native.py`` and
-``benchmarks/bench_native_kernels.py`` gate every backend over all
+parity matrix in ``tests/test_native.py`` gates every backend over all
 model workloads, directly and through ``.lpa`` round-trips.
 """
 

@@ -25,9 +25,9 @@ from .base import SAMPLES_PER_WORD, ExecutionEngine, create_engine
 
 #: Default engine for sessions and the serving layer: the fused engine is
 #: bit-identical to ``"trace"`` and ``"cycle"`` (outputs and statistics —
-#: proven over every model workload in tests/test_engine.py and
-#: benchmarks/bench_trace_fusion.py) while running the hot path with
-#: zero steady-state allocation.
+#: proven over every model workload, directly and through ``.lpa`` round
+#: trips, in tests/test_engine.py) while running the hot path with zero
+#: steady-state allocation.
 DEFAULT_ENGINE = "fused"
 
 

@@ -103,8 +103,8 @@ class TraceEngine(ExecutionEngine):
     def profile_levels(
         self, inputs: Dict[str, np.ndarray]
     ) -> List[Dict[str, object]]:
-        """Per-level wall time of one run (the diagnostic view behind
-        ``repro throughput --json``)."""
+        """Per-level wall time of one run (the same diagnostic view as
+        the fused engine's ``profile_levels``)."""
         values, _squeeze = self._fresh_values(inputs)
         records = []
         # The loop body mirrors run()'s level execution exactly, with a

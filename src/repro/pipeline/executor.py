@@ -532,9 +532,9 @@ class SerialChainRunner:
     """Serial per-stage execution of a bundle on the calling thread:
     one :class:`~repro.engine.session.Session` per stage, run in stage
     order per batch, statistics reduced exactly as the pipelined path
-    reduces them.  This is both the bit-identity reference the executor
-    is asserted against and the naive whole-model baseline the serving
-    layer is benchmarked over."""
+    reduces them.  This is the bit-identity reference the executor is
+    asserted against, and what :func:`~repro.serve.server.naive_serve`
+    runs for a bundle."""
 
     def __init__(
         self,

@@ -19,13 +19,16 @@ Built on :mod:`repro.engine`, this package turns the compile-once
   fault-injection harness behind the chaos tests and
   ``bench_fault_recovery`` (:mod:`repro.serve.faults`).
 
-Quick start::
+Every entry point takes its knobs as one :class:`ServeConfig`.  Quick
+start::
 
-    from repro.serve import serve
-    results = serve(graph, requests, num_workers=4, max_batch_size=16)
+    from repro.serve import ServeConfig, serve
+    results = serve(
+        graph, requests,
+        serving=ServeConfig(num_workers=4, max_batch_size=16),
+    )
 """
 
-from .bench import run_serve_bench
 from .cache import (
     CacheEntry,
     CacheKey,
@@ -35,7 +38,7 @@ from .cache import (
     disk_key,
     graph_fingerprint,
 )
-from .config import ServeConfig, resolve_serving
+from .config import ServeConfig
 from .faults import (
     FaultEvent,
     FaultInjector,
@@ -46,12 +49,7 @@ from .faults import (
 from .pool import BACKENDS, PLACEMENTS, WorkerPool
 from .scheduler import BatchScheduler, DeadlineExceeded, SchedulerStats
 from .server import InferenceServer, naive_serve, serve
-from .stream import (
-    StreamSession,
-    StreamingServer,
-    make_stream,
-    run_stream_bench,
-)
+from .stream import StreamSession, StreamingServer, make_stream
 
 __all__ = [
     "BACKENDS",
@@ -78,8 +76,5 @@ __all__ = [
     "graph_fingerprint",
     "make_stream",
     "naive_serve",
-    "resolve_serving",
-    "run_serve_bench",
-    "run_stream_bench",
     "serve",
 ]

@@ -197,8 +197,6 @@ class ProgramCache:
         normalized into the canonical pipeline-id string; when absent, the
         identity is derived from the kwargs exactly as ``compile_ffcl``
         derives its pass list, so option-equivalent calls share one entry.
-        ``codegen_workers`` never enters the key: the compiled program is
-        bit-identical for every worker count.
         """
         if "pass_cache" in compile_kwargs:
             raise ValueError(
@@ -207,7 +205,6 @@ class ProgramCache:
             )
         options = dict(compile_kwargs)
         spec = options.pop("pipeline", None)
-        options.pop("codegen_workers", None)
         if spec is None:
             spec = pipeline_from_options(
                 optimize=bool(options.get("optimize", True)),

@@ -1,34 +1,23 @@
 """One serving configuration surface: :class:`ServeConfig`.
 
-Before this module every serving entry point grew its own copy of the
-same keyword sprawl — ``engine=``, ``num_workers=``, ``max_batch_size=``,
-``max_wait_ms=``, ``placement=``, ``backend=``, ``cache=`` repeated
-across :class:`~repro.serve.server.InferenceServer`, :func:`serve`,
-:func:`naive_serve`, :func:`run_serve_bench`, and
-:class:`~repro.serve.stream.StreamingServer`, drifting defaults and all.
-:class:`ServeConfig` consolidates the lot into one frozen dataclass that
-every entry point accepts as ``serving=``, and that the fabric node
-(:mod:`repro.serve.fabric`) ships across config files and process
-boundaries via :meth:`ServeConfig.describe`.
-
-The old keywords keep working through :func:`resolve_serving`, the
-deprecation shim every entry point routes its ``**kwargs`` through: the
-legacy keys are folded into a :class:`ServeConfig` (warning once per
-process), everything left over is a compile option.  Mixing an explicit
-``serving=`` with legacy keywords is an error — one source of truth per
-call.
+Every serving entry point — :class:`~repro.serve.server.InferenceServer`,
+:func:`~repro.serve.server.serve`, :func:`~repro.serve.server.naive_serve`
+and :class:`~repro.serve.stream.StreamingServer` — takes its knobs as one
+frozen ``serving=ServeConfig(...)``, compile options included
+(``compile_options``).  The fabric node (:mod:`repro.serve.fabric`) ships
+the same object across config files and process boundaries via
+:meth:`ServeConfig.describe`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional
 
 from ..engine.session import DEFAULT_ENGINE
 
-__all__ = ["LEGACY_SERVE_KEYS", "ServeConfig", "resolve_serving"]
+__all__ = ["ServeConfig"]
 
 
 @dataclass(frozen=True)
@@ -155,72 +144,3 @@ class ServeConfig:
             "store": repr(self.store) if self.store is not None else None,
             "compile_options": dict(self.compile_options),
         }
-
-
-#: the pre-ServeConfig keyword surface the shim keeps alive.
-LEGACY_SERVE_KEYS: Tuple[str, ...] = (
-    "engine",
-    "engine_options",
-    "num_workers",
-    "max_batch_size",
-    "max_wait_ms",
-    "placement",
-    "backend",
-    "share_tables",
-    "cache",
-    "store",
-)
-
-_warned_legacy = False
-
-
-def _warn_legacy(keys) -> None:
-    global _warned_legacy
-    if _warned_legacy:
-        return
-    _warned_legacy = True
-    warnings.warn(
-        "passing serving options as keywords ("
-        + ", ".join(sorted(keys))
-        + "=...) is deprecated; bundle them in a ServeConfig and pass "
-        "serving=ServeConfig(...) instead",
-        DeprecationWarning,
-        stacklevel=4,
-    )
-
-
-def resolve_serving(
-    serving: Optional[ServeConfig],
-    kwargs: Dict[str, object],
-    *,
-    defaults: Optional[Dict[str, object]] = None,
-) -> Tuple[ServeConfig, Dict[str, object]]:
-    """The deprecation shim: split a serving entry point's ``**kwargs``.
-
-    Legacy serving keywords (``engine=``, ``num_workers=``, ...) are
-    folded into a :class:`ServeConfig` — warning once per process —
-    and whatever remains is returned as the compile-option dict (merged
-    over ``serving.compile_options``).  An explicit ``serving=`` config
-    passes through untouched; combining it with legacy keywords raises,
-    so a call never has two sources of truth.
-    """
-    legacy = {
-        key: kwargs.pop(key) for key in LEGACY_SERVE_KEYS if key in kwargs
-    }
-    if serving is not None:
-        if legacy:
-            raise ValueError(
-                "pass serving options either as serving=ServeConfig(...) "
-                "or as legacy keywords, not both: "
-                + ", ".join(sorted(legacy))
-            )
-        config = serving
-    else:
-        base = dict(defaults) if defaults else {}
-        base.update(legacy)
-        if legacy:
-            _warn_legacy(legacy)
-        config = ServeConfig(**base)
-    compile_options = dict(config.compile_options)
-    compile_options.update(kwargs)
-    return config, compile_options

@@ -7,8 +7,7 @@ in an asyncio HTTP/1.1 front-end (stdlib only — no web framework) with
 two-gate admission control, binary (``application/x-lpw``) and JSON
 wire formats, and an artifact-store endpoint so a warm node can feed
 cold ones their ``.lpa`` executables.  :class:`FabricClient` is the
-matching synchronous caller, and :func:`run_load_bench` is the
-closed/open-loop load generator behind ``repro load-bench``.
+matching synchronous caller.
 
 Everything a node answers is bit-identical — outputs *and* run
 statistics — to a direct in-process :class:`~repro.engine.session.Session`
@@ -30,7 +29,6 @@ from .client import (
     RetryPolicy,
 )
 from .httpio import HTTPProtocolError, Request
-from .loadgen import run_load_bench
 from .node import FabricConfig, FabricNode
 from .wire import (
     BINARY_CONTENT_TYPE,
@@ -64,5 +62,4 @@ __all__ = [
     "decode_response",
     "encode_request",
     "encode_response",
-    "run_load_bench",
 ]

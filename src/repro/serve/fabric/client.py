@@ -9,7 +9,7 @@ fetched over the wire drops into every comparison and report the
 in-process serving layer already supports, bit for bit.
 
 One client is one connection is one lane: drive it from one thread, and
-give each load-generator client its own instance (that is what the
+give each concurrent caller its own instance (that is what the
 per-client admission fairness on the node keys on, via the
 ``X-Client`` header).
 

@@ -502,14 +502,15 @@ class WorkerPool:
         self._workers[index] = self._make_worker(index)
         self._generations[index] += 1
         self._restarts[index] += 1
-        # Reap the broken worker best-effort: its child is already gone,
-        # shutdown only joins management threads.  (A poisoned thread
-        # worker reaches its own close() from its queue; joining the
-        # current thread raises and is swallowed.)
-        try:
-            old_worker.close()
-        except Exception:  # pragma: no cover - best effort
-            pass
+        # Reap the broken worker on a thread of its own, never under the
+        # lock: a dead executor's management thread may be delivering
+        # other batches' done-callbacks, which take this lock, and
+        # joining it here deadlocked the pool.
+        threading.Thread(
+            target=old_worker.close,
+            name=f"repro-reap-{index}",
+            daemon=True,
+        ).start()
 
     def _on_batch_done(
         self,

@@ -16,10 +16,8 @@ The :func:`serve` function is the synchronous fire-and-forget form::
         serving=ServeConfig(num_workers=4, max_batch_size=16),
     )
 
-All serving knobs live in one :class:`~repro.serve.config.ServeConfig`
-passed as ``serving=``; the pre-config keyword spelling
-(``num_workers=4, max_batch_size=16`` directly) still works through a
-deprecation shim that warns once per process.
+All serving knobs, compile options included, live in one
+:class:`~repro.serve.config.ServeConfig` passed as ``serving=``.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from ..core.config import LPUConfig
 from ..engine.session import Session
 from ..lpu.simulator import SimulationResult
 from ..netlist.graph import LogicGraph
-from .config import ServeConfig, resolve_serving
+from .config import ServeConfig
 from .pool import WorkerPool
 from .scheduler import BatchScheduler, DeadlineExceeded
 
@@ -58,12 +56,8 @@ class InferenceServer:
         config: LPU parameters when compiling from a graph.
         serving: the :class:`~repro.serve.config.ServeConfig` bundling
             every serving knob (engine, workers, batching, placement,
-            backend, cache/store wiring).
-        **kwargs: compile options forwarded to
-            :func:`repro.core.compile_ffcl` — plus, through the
-            deprecation shim, the legacy serving keywords
-            (``engine=``, ``num_workers=``, ...), which warn once and
-            must not be mixed with an explicit ``serving=``.
+            backend, cache/store wiring, compile options); the defaults
+            when omitted.
     """
 
     def __init__(
@@ -72,11 +66,11 @@ class InferenceServer:
         config: Optional[LPUConfig] = None,
         *,
         serving: Optional[ServeConfig] = None,
-        **kwargs,
     ) -> None:
         from ..artifact.bundle import ArtifactBundle
 
-        serving, compile_options = resolve_serving(serving, kwargs)
+        if serving is None:
+            serving = ServeConfig()
         self.serving = serving
         self.cache = serving.resolve_cache()
         self.engine_name = serving.engine
@@ -98,7 +92,8 @@ class InferenceServer:
         else:
             self.bundle = None
             entry = self.cache.get_or_compile(
-                source, config, engine=serving.engine, **compile_options
+                source, config, engine=serving.engine,
+                **serving.compile_options,
             )
             self.program = entry.program
             self.pool = WorkerPool(
@@ -226,16 +221,15 @@ def serve(
     source: Union[LogicGraph, Program],
     requests: Iterable[Dict[str, np.ndarray]],
     config: Optional[LPUConfig] = None,
-    **server_kwargs,
+    *,
+    serving: Optional[ServeConfig] = None,
 ) -> List[SimulationResult]:
     """Serve ``requests`` through a transient :class:`InferenceServer`.
 
     Results are returned in request order, each bit-identical to a direct
     :meth:`Session.run <repro.engine.session.Session.run>` of that request.
-    Keyword arguments are forwarded to :class:`InferenceServer`
-    (``serving=ServeConfig(...)`` plus compile options).
     """
-    with InferenceServer(source, config, **server_kwargs) as server:
+    with InferenceServer(source, config, serving=serving) as server:
         return server.map(requests)
 
 
@@ -245,18 +239,17 @@ def naive_serve(
     config: Optional[LPUConfig] = None,
     *,
     serving: Optional[ServeConfig] = None,
-    **kwargs,
 ) -> List[SimulationResult]:
-    """The baseline the serving layer is benchmarked against: one
-    compile-once session, one engine run per request, no coalescing.
-    Only ``serving.engine`` and the compile options apply here — there
-    is no pool, no batching, no cache.  A multi-program
-    :class:`~repro.artifact.bundle.ArtifactBundle` runs its stages
-    serially through a :class:`~repro.pipeline.SerialChainRunner` — the
-    no-overlap baseline the pipeline executor is measured against."""
+    """The reference the serving tests compare against: one compile-once
+    session, one engine run per request, no coalescing.  Only
+    ``serving.engine``, ``serving.engine_options`` and the compile
+    options apply here — there is no pool, no batching, no cache.  A
+    multi-program :class:`~repro.artifact.bundle.ArtifactBundle` runs its
+    stages serially through a :class:`~repro.pipeline.SerialChainRunner`."""
     from ..artifact.bundle import ArtifactBundle
 
-    serving, compile_options = resolve_serving(serving, kwargs)
+    if serving is None:
+        serving = ServeConfig()
     if isinstance(source, ArtifactBundle):
         from ..pipeline import SerialChainRunner
 
@@ -269,6 +262,6 @@ def naive_serve(
     session = Session(
         source, config, engine=serving.engine,
         engine_options=dict(serving.engine_options) or None,
-        **compile_options,
+        **serving.compile_options,
     )
     return [session.run(request) for request in requests]

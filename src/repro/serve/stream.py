@@ -19,14 +19,13 @@ other traffic — so interleaved sessions sharing one worker stay isolated
 sharing.  Engines without stream state (``"fused"``, ``"trace"``) degrade
 gracefully to plain per-request runs on the sticky worker.
 
-:func:`run_stream_bench` is the measurement driver behind the
-``repro stream-bench`` CLI and ``benchmarks/bench_delta_streaming.py``.
+:func:`make_stream` draws the deterministic low-entropy (or fully random)
+input streams the tests and the ``stream_*`` benchmark workloads replay.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from typing import Dict, List, Optional, Union
 
 import numpy as np
@@ -35,20 +34,13 @@ from ..artifact.format import ExecutableArtifact
 from ..core.codegen import Program
 from ..core.config import LPUConfig
 from ..engine.base import SAMPLES_PER_WORD
-from ..engine.session import Session
 from ..lpu.functional import random_stimulus
 from ..lpu.simulator import SimulationResult
 from ..netlist.graph import LogicGraph
-from .cache import ProgramCache
-from .config import ServeConfig, resolve_serving
+from .config import ServeConfig
 from .pool import WorkerPool
 
-__all__ = [
-    "StreamSession",
-    "StreamingServer",
-    "make_stream",
-    "run_stream_bench",
-]
+__all__ = ["StreamSession", "StreamingServer", "make_stream"]
 
 _WORD = np.uint64
 
@@ -130,15 +122,12 @@ class StreamingServer:
             :class:`Program`, or an :class:`ExecutableArtifact`.
         config: LPU parameters when compiling from a graph.
         serving: the :class:`~repro.serve.config.ServeConfig`; the
-            streaming layer uses its ``engine`` (``"delta"`` default —
-            the point of the layer; stateless engines simply run
-            per-request), ``num_workers`` (sessions are placed on the
-            worker with the fewest open sessions), and cache/store
-            wiring.  The backend must stay ``"thread"``: per-session
-            engine state lives in-process.
-        **kwargs: compile options forwarded to
-            :func:`repro.core.compile_ffcl` (legacy serving keywords
-            keep working through the deprecation shim).
+            streaming layer uses its ``engine`` (stateless engines simply
+            run per-request), ``num_workers`` (sessions are placed on the
+            worker with the fewest open sessions), cache/store wiring and
+            compile options.  The backend must stay ``"thread"``:
+            per-session engine state lives in-process.  Omitted, it is
+            ``ServeConfig(engine="delta")`` — the point of the layer.
     """
 
     def __init__(
@@ -147,11 +136,9 @@ class StreamingServer:
         config: Optional[LPUConfig] = None,
         *,
         serving: Optional[ServeConfig] = None,
-        **kwargs,
     ) -> None:
-        serving, compile_options = resolve_serving(
-            serving, kwargs, defaults={"engine": "delta"}
-        )
+        if serving is None:
+            serving = ServeConfig(engine="delta")
         if serving.backend != "thread":
             raise ValueError(
                 "streaming sessions require the thread backend: "
@@ -161,7 +148,8 @@ class StreamingServer:
         self.serving = serving
         self.cache = serving.resolve_cache()
         entry = self.cache.get_or_compile(
-            source, config, engine=serving.engine, **compile_options
+            source, config, engine=serving.engine,
+            **serving.compile_options,
         )
         self.program = entry.program
         self.engine_name = serving.engine
@@ -245,7 +233,7 @@ class StreamingServer:
 
 
 # ----------------------------------------------------------------------
-# The stream-bench driver
+# Deterministic input streams
 # ----------------------------------------------------------------------
 def make_stream(
     graph: LogicGraph,
@@ -289,153 +277,3 @@ def make_stream(
             {name: words.copy() for name, words in current.items()}
         )
     return stream
-
-
-def _stats_key(result: SimulationResult):
-    return (
-        result.macro_cycles,
-        result.clock_cycles,
-        result.compute_instructions_executed,
-        result.switch_routes,
-        result.peak_buffer_words,
-        result.buffer_writes,
-    )
-
-
-def run_stream_bench(
-    source: Union[LogicGraph, Program, ExecutableArtifact],
-    config: Optional[LPUConfig] = None,
-    *,
-    steps: int = 256,
-    flip_bits: int = 1,
-    array_size: int = 1,
-    random_stream: bool = False,
-    seed: int = 0,
-    num_workers: int = 1,
-    engine: str = "delta",
-    baseline_engine: str = "fused",
-    reps: int = 3,
-    verify: bool = True,
-    cache: Optional[ProgramCache] = None,
-    **compile_kwargs,
-) -> Dict[str, object]:
-    """Measure streamed incremental vs. per-step dense execution.
-
-    1. compile (through the program cache) and generate a ``steps``-long
-       stream (``flip_bits`` flips/step, or fully random),
-    2. verify the streaming engine is bit-identical to the baseline on
-       every step — outputs AND statistics,
-    3. time full-stream sweeps of both engines interleaved (``reps``
-       repetitions, medians reported) through direct stateful sessions,
-    4. exercise the :class:`StreamingServer` session path on the same
-       stream and verify it too,
-    5. report steps/second for both, the speedup, and the delta
-       counters.  Returns a JSON-able report.
-    """
-    if steps < 2:
-        raise ValueError("steps must be >= 2")
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    serving = ServeConfig(
-        engine=engine, num_workers=num_workers, cache=cache,
-        compile_options=dict(compile_kwargs),
-    )
-    cache = serving.resolve_cache()
-    serving = serving.replace(cache=cache)
-    entry = cache.get_or_compile(
-        source, config, engine=engine, **compile_kwargs
-    )
-    program = entry.program
-    graph = program.graph
-    stream = make_stream(
-        graph,
-        steps=steps,
-        flip_bits=flip_bits,
-        array_size=array_size,
-        random_stream=random_stream,
-        seed=seed,
-    )
-
-    baseline = Session(program, engine=baseline_engine)
-    streaming = Session(program, engine=engine)
-
-    bit_identical = True
-    if verify:
-        for stim in stream:
-            expected = baseline.run(stim)
-            got = streaming.run(stim)
-            for name, words in expected.outputs.items():
-                if not np.array_equal(got.outputs[name], words):
-                    bit_identical = False
-            if _stats_key(expected) != _stats_key(got):
-                bit_identical = False
-
-    def sweep(session: Session) -> float:
-        start = time.perf_counter()
-        for stim in stream:
-            session.run(stim)
-        return time.perf_counter() - start
-
-    # Warm both (workspace/state allocation, kernel generation), then
-    # interleave sweeps so drift hits both engines alike.
-    sweep(baseline)
-    sweep(streaming)
-    baseline_times: List[float] = []
-    streaming_times: List[float] = []
-    for _ in range(reps):
-        baseline_times.append(sweep(baseline))
-        streaming_times.append(sweep(streaming))
-    baseline_s = float(np.median(baseline_times))
-    streaming_s = float(np.median(streaming_times))
-
-    # The served path: one sticky session over a StreamingServer.
-    served_verified = True
-    server = StreamingServer(source, config, serving=serving)
-    try:
-        with server.open_session() as session:
-            session_stateful = session.stateful
-            for stim in stream:
-                got = session.run(stim)
-                if verify:
-                    expected = baseline.run(stim)
-                    for name, words in expected.outputs.items():
-                        if not np.array_equal(got.outputs[name], words):
-                            served_verified = False
-            session_stats = session.stats()
-        server_stats = server.stats()
-    finally:
-        server.close()
-
-    delta_stats = None
-    if hasattr(streaming.engine, "delta_stats"):
-        delta_stats = streaming.engine.delta_stats()
-    return {
-        "graph": graph.name,
-        "engine": engine,
-        "baseline_engine": baseline_engine,
-        "steps": steps,
-        "flip_bits": None if random_stream else flip_bits,
-        "random_stream": random_stream,
-        "array_size": array_size,
-        "samples_per_step": SAMPLES_PER_WORD * array_size,
-        "num_workers": num_workers,
-        "baseline": {
-            "seconds": baseline_s,
-            "steps_per_second": steps / baseline_s if baseline_s else None,
-        },
-        "streaming": {
-            "seconds": streaming_s,
-            "steps_per_second": (
-                steps / streaming_s if streaming_s else None
-            ),
-        },
-        "speedup": baseline_s / streaming_s if streaming_s else None,
-        "bit_identical": bit_identical if verify else None,
-        "stream_session": {
-            "stateful": session_stateful,
-            "verified": served_verified if verify else None,
-            "counters": session_stats,
-        },
-        "delta": delta_stats,
-        "server": server_stats,
-    }

@@ -784,22 +784,6 @@ class TestCLI:
         with pytest.raises(SystemExit, match="netlist or --artifact"):
             main(["simulate"])
 
-    def test_serve_bench_from_artifact(self, capsys, tmp_path, netlist):
-        from repro.cli import main
-
-        out = str(tmp_path / "block.lpa")
-        assert main(
-            ["compile", netlist, "--lpvs", "4", "--lpes", "8", "-o", out]
-        ) == 0
-        capsys.readouterr()
-        assert main(
-            ["serve-bench", "--artifact", out, "--requests", "8",
-             "--clients", "2", "--workers", "1", "--json"]
-        ) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["bit_identical"] is True
-        assert report["artifact"] == out
-
 
 class TestVersionSingleSourcing:
     def test_setup_py_reads_package_version(self):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.artifact import ExecutableArtifact
 from repro.core import LPUConfig, compile_ffcl, lower_program
 from repro.engine import (
     CycleAccurateEngine,
@@ -34,6 +35,7 @@ from repro.models import (
 )
 from repro.netlist import cells, random_dag, random_tree
 from repro.netlist.graph import LogicGraph
+from repro.serve import make_stream
 
 SMALL = LPUConfig(num_lpvs=4, lpes_per_lpv=8)
 TINY = LPUConfig(num_lpvs=2, lpes_per_lpv=4)
@@ -230,6 +232,54 @@ class TestParityModelWorkloads:
                 first_stats = stats
             else:
                 assert stats == first_stats
+
+    @pytest.mark.parametrize(
+        "factory", MODEL_FACTORIES, ids=lambda f: f.__name__
+    )
+    def test_artifact_sessions_match_functional(self, factory):
+        """Every engine booted from an ``.lpa`` round trip (fanout tables
+        embedded) matches functional evaluation, and the in-memory cycle
+        model's statistics, step for step over low-entropy streams — so
+        the delta engine's stream state is exercised too."""
+        model = factory()
+        layer = min(model.layers, key=lambda l: (l.fan_in, l.num_neurons))
+        block, _ = layer_block(layer, sample_neurons=2, seed=0)
+        res = compile_ffcl(block, SMALL)
+        artifact = ExecutableArtifact.from_bytes(
+            res.to_artifact(fanout=True).to_bytes()
+        )
+        assert artifact.fanout is not None
+        sessions = {
+            name: artifact.session(engine=name)
+            for name in available_engines()
+        }
+        cycle = Session(res.program, engine="cycle")
+        graph = res.program.graph
+
+        def stats(out):
+            return (
+                out.macro_cycles,
+                out.clock_cycles,
+                out.compute_instructions_executed,
+                out.switch_routes,
+                out.peak_buffer_words,
+                out.buffer_writes,
+            )
+
+        for array_size in (1, 4):
+            stream = make_stream(
+                graph, steps=4, flip_bits=1, array_size=array_size, seed=7
+            )
+            for stim in stream:
+                ref = evaluate_graph(graph, stim)
+                expected = stats(cycle.run(stim))
+                for engine, session in sessions.items():
+                    out = session.run(stim)
+                    for name, word in ref.items():
+                        assert np.array_equal(
+                            out.outputs[name], word
+                        ), (engine, name)
+                    assert stats(out) == expected, engine
 
 
 class TestSession:

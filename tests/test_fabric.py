@@ -15,8 +15,9 @@ The load-bearing invariants:
   put/get/delete/keys contract,
 * **fleet warm boot** — a second node wired to a warm node's HTTP store
   reaches ready-to-serve with zero compile passes,
-* **config shim** — legacy serving kwargs still work (warning once),
-  and mixing them with an explicit ``serving=`` is an error.
+* **one config surface** — every serving entry point takes its knobs,
+  compile options included, as one ``serving=ServeConfig(...)``; a stray
+  serving keyword is Python's own ``TypeError``.
 """
 
 import asyncio
@@ -52,8 +53,14 @@ from repro.models import (
     vgg16_workload,
 )
 from repro.netlist import random_dag
-from repro.serve import InferenceServer, ServeConfig, naive_serve
-from repro.serve.config import resolve_serving
+from repro.serve import (
+    InferenceServer,
+    ProgramCache,
+    ServeConfig,
+    StreamingServer,
+    naive_serve,
+    serve,
+)
 from repro.serve.fabric import (
     AdmissionController,
     FabricClient,
@@ -62,7 +69,6 @@ from repro.serve.fabric import (
     FabricNode,
     FabricRejected,
     TokenBucket,
-    run_load_bench,
 )
 from repro.serve.fabric.httpio import (
     HTTPProtocolError,
@@ -473,7 +479,7 @@ class TestHTTPStoreBackend:
 
 
 # ----------------------------------------------------------------------
-# ServeConfig and the deprecation shim
+# ServeConfig: the one serving surface
 # ----------------------------------------------------------------------
 class TestServeConfig:
     def test_defaults_and_replace(self):
@@ -490,30 +496,42 @@ class TestServeConfig:
         with pytest.raises(ValueError):
             ServeConfig(backend="carrier-pigeon")
 
-    def test_legacy_kwargs_warn_once_and_still_work(self, monkeypatch):
-        import repro.serve.config as config_module
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda program, stim: InferenceServer(program, num_workers=2),
+            lambda program, stim: serve(program, [stim], num_workers=2),
+            lambda program, stim: naive_serve(program, [stim], num_workers=2),
+            lambda program, stim: StreamingServer(program, num_workers=2),
+        ],
+        ids=["InferenceServer", "serve", "naive_serve", "StreamingServer"],
+    )
+    def test_serving_keyword_is_a_type_error(self, compiled, entry):
+        stim = random_stimulus(compiled.program.graph, array_size=1, seed=0)
+        with pytest.raises(TypeError, match="num_workers"):
+            entry(compiled.program, stim)
 
-        monkeypatch.setattr(config_module, "_warned_legacy", False)
-        with pytest.warns(DeprecationWarning):
-            serving, options = resolve_serving(
-                None, {"num_workers": 2, "merge": False}
-            )
-        assert serving.num_workers == 2
-        assert options == {"merge": False}
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # second use must NOT warn
-            serving, _ = resolve_serving(None, {"num_workers": 3})
-        assert serving.num_workers == 3
+    def test_compile_options_reach_the_compile(self):
+        graph = random_dag(7, 50, 4, seed=11)
+        unmerged = compile_ffcl(graph, SMALL, merge=False).metrics
+        merged = compile_ffcl(graph, SMALL).metrics
+        assert unmerged.mfgs_after_merge != merged.mfgs_after_merge
+        serving = ServeConfig(
+            cache=ProgramCache(), compile_options={"merge": False}
+        )
+        with InferenceServer(graph, SMALL, serving=serving) as server:
+            served_mfgs = len(server.program.schedule.items)
+        assert served_mfgs == unmerged.mfgs_after_merge
 
-    def test_mixing_serving_with_legacy_kwargs_raises(self):
-        with pytest.raises(ValueError, match="legacy"):
-            resolve_serving(ServeConfig(), {"num_workers": 2})
-
-    def test_explicit_serving_passes_through(self):
-        serving = ServeConfig(num_workers=4)
-        resolved, options = resolve_serving(serving, {"merge": True})
-        assert resolved is serving
-        assert options == {"merge": True}
+    def test_streaming_server_defaults_to_delta(self, compiled):
+        stim = random_stimulus(compiled.program.graph, array_size=1, seed=0)
+        with StreamingServer(compiled.program) as server:
+            assert server.engine_name == "delta"
+            with server.open_session() as session:
+                assert session.stateful
+                got = session.run(stim)
+                assert session.stats()["runs"] == 1
+        assert_results_identical(Session(compiled.program).run(stim), got)
 
     def test_server_accepts_serving_object(self, compiled):
         with warnings.catch_warnings():
@@ -829,49 +847,3 @@ class TestSharedTableArena:
             server.close()
         for want, have in zip(expected, got):
             assert_results_identical(want, have)
-
-
-# ----------------------------------------------------------------------
-# Load generator
-# ----------------------------------------------------------------------
-class TestLoadBench:
-    def test_closed_loop_report_and_bit_identity(self, compiled):
-        report = run_load_bench(
-            compiled.program,
-            serving=ServeConfig(num_workers=2),
-            requests=12,
-            clients=2,
-            array_size=1,
-            baseline=True,
-            verify=True,
-        )
-        assert report["bit_identical"] is True
-        fabric = report["fabric"]
-        assert fabric["requests_per_second"] > 0
-        assert (
-            0
-            < fabric["latency_p50_ms"]
-            <= fabric["latency_p99_ms"]
-        )
-        assert report["speedup_vs_single_process"] > 0
-        assert report["node"]["admission"]["admitted"] >= 12
-
-    def test_open_loop_requires_rate(self, compiled):
-        with pytest.raises(ValueError):
-            run_load_bench(
-                compiled.program, mode="open", target_rps=None
-            )
-
-    def test_open_loop_runs(self, compiled):
-        report = run_load_bench(
-            compiled.program,
-            serving=ServeConfig(),
-            requests=6,
-            clients=2,
-            mode="open",
-            target_rps=500.0,
-            baseline=False,
-            verify=True,
-        )
-        assert report["bit_identical"] is True
-        assert report["baseline_single_process"] is None

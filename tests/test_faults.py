@@ -243,6 +243,55 @@ class TestSupervision:
         finally:
             pool.close()
 
+    def test_restart_does_not_wait_on_callbacks_under_the_lock(
+        self, compiled
+    ):
+        """A dead process executor refuses the next submit while its
+        management thread is still delivering other batches' callbacks,
+        which take the pool lock.  Replacing the worker must not join
+        that thread with the lock held (it used to: a deadlock)."""
+        from concurrent.futures.process import BrokenProcessPool
+
+        pool = WorkerPool(compiled, num_workers=1, backend="thread")
+
+        class DeadWorker:
+            def __init__(self):
+                self.delivering = threading.Thread(
+                    target=self._callback, daemon=True
+                )
+
+            def _callback(self):
+                with pool._lock:  # what _on_batch_done does first
+                    pass
+
+            def submit(self, inputs):
+                self.delivering.start()
+                raise BrokenProcessPool("worker died")
+
+            def close(self):
+                self.delivering.join()
+
+        dead = DeadWorker()
+        pool._workers[0] = dead
+        request = _requests(compiled.graph, 1)[0]
+        outcome = []
+        submitter = threading.Thread(
+            target=lambda: outcome.append(pool.submit(request)),
+            daemon=True,
+        )
+        submitter.start()
+        submitter.join(timeout=10)
+        assert not submitter.is_alive(), "pool deadlocked on the restart"
+        dead.delivering.join(timeout=10)
+        assert not dead.delivering.is_alive()
+        try:
+            assert_results_identical(
+                Session(compiled).run(request), outcome[0].result(timeout=60)
+            )
+            assert pool.stats()["restarts"] == [1]
+        finally:
+            pool.close()
+
     def test_retries_are_bounded(self, compiled):
         # With the retry budget at zero, a worker death reaches the
         # caller as the typed WorkerCrashed instead of looping.

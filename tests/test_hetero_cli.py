@@ -11,6 +11,7 @@ from repro.core.hetero import (
     tapered_profile,
 )
 from repro.cli import main as cli_main
+from repro.engine import available_engines
 from repro.netlist import random_dag, write_verilog, write_bench
 from repro.synth import preprocess
 
@@ -128,7 +129,7 @@ class TestCLI:
         assert rc == 0
         assert "cycle == functional: True" in out
 
-    @pytest.mark.parametrize("engine", ["cycle", "trace"])
+    @pytest.mark.parametrize("engine", available_engines())
     def test_simulate_engine_flag(self, tmp_path, capsys, engine):
         path = self._write_netlist(tmp_path)
         rc = cli_main(["simulate", path, "--lpvs", "4", "--lpes", "4",
@@ -158,27 +159,6 @@ class TestCLI:
         data = json.loads(capsys.readouterr().out)
         assert {"partition", "schedule", "metrics", "program"} <= set(data)
         assert data["schedule"]["makespan_macro_cycles"] >= 1
-
-    def test_throughput_command(self, tmp_path, capsys):
-        path = self._write_netlist(tmp_path)
-        rc = cli_main(["throughput", path, "--lpvs", "4", "--lpes", "4",
-                       "--engine", "all", "--array-size", "4",
-                       "--batches", "2"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "samples/s" in out
-        assert "trace" in out and "cycle" in out
-
-    def test_throughput_json_output(self, tmp_path, capsys):
-        import json
-
-        path = self._write_netlist(tmp_path)
-        rc = cli_main(["throughput", path, "--lpvs", "4", "--lpes", "4",
-                       "--array-size", "2", "--batches", "2", "--json"])
-        assert rc == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data["samples_per_run"] == 128
-        assert data["engines"]["trace"]["samples_per_second"] > 0
 
     def test_report_command(self, tmp_path, capsys):
         path = self._write_netlist(tmp_path)

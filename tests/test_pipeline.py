@@ -11,12 +11,12 @@ The load-bearing invariants:
   re-validated against the decoded graphs,
 * **bit-identity** — :class:`PipelineExecutor` outputs AND statistics
   equal the serial per-stage reference for every batch, in request
-  order, at every queue depth,
+  order, at every queue depth, and through a v2 serialize/deserialize
+  round trip,
 * **serving integration** — an :class:`InferenceServer` (and a fabric
   node) serves a bundle through the pipeline pool with per-stage
   occupancy in its stats,
-* **CLI** — ``compile --bundle`` / ``inspect [--verify]`` /
-  ``throughput --artifact`` / ``serve-bench --artifact`` round-trip a
+* **CLI** — ``compile --bundle`` / ``inspect [--verify]`` round-trip a
   bundle end to end.
 """
 
@@ -255,6 +255,23 @@ class TestPipelineExecutor:
         assert board["retired"] == board["submitted"] == len(stimuli)
         assert board["in_flight"] == 0
 
+    def test_round_tripped_bundle_bit_identical(self, bundle):
+        """The executor over a DESERIALIZED bundle matches the serial
+        reference over the in-memory one, batch for batch."""
+        loaded = load_artifact_bytes(bundle.to_bytes())
+        graph = loaded.reference_graph()
+        stimuli = [
+            random_stimulus(graph, array_size=4, seed=60 + i)
+            for i in range(6)
+        ]
+        runner = SerialChainRunner(bundle)
+        with PipelineExecutor(loaded, depth=2) as executor:
+            for stim, piped in zip(stimuli, executor.map(stimuli)):
+                _assert_identical(runner.run(stim), piped)
+            board = executor.scoreboard.as_dict()
+        assert board["retired"] == board["submitted"] == len(stimuli)
+        assert board["in_flight"] == 0
+
     def test_run_serial_matches_pipeline(self, bundle):
         graph = bundle.reference_graph()
         stim = random_stimulus(graph, array_size=2, seed=77)
@@ -365,33 +382,6 @@ class TestServingIntegration:
         assert pool["scoreboard"]["retired"] >= 1
         json.dumps(stats)
 
-    def test_serve_bench_reports_pipeline_occupancy(self, bundle):
-        from repro.serve import run_serve_bench
-
-        report = run_serve_bench(
-            bundle,
-            serving=ServeConfig(pipeline_depth=2),
-            requests=8,
-            array_size=2,
-            clients=2,
-        )
-        assert report["bit_identical"] is True
-        assert report["pipeline"] is not None
-        assert len(report["pipeline"]["stages"]) == 3
-        assert report["macro_cycles_per_run"] == sum(
-            m.program.schedule.makespan for m in bundle.members
-        )
-        json.dumps(report)
-
-    def test_single_program_bench_has_no_pipeline_section(self):
-        from repro.serve import run_serve_bench
-
-        result = compile_ffcl(random_dag(4, 20, 2, seed=9), SMALL)
-        report = run_serve_bench(
-            result.program, requests=4, array_size=1, clients=1
-        )
-        assert report["pipeline"] is None
-
     def test_fabric_node_serves_a_bundle(self, bundle):
         from repro.serve.fabric import FabricClient, FabricNode
 
@@ -469,34 +459,6 @@ class TestCLI:
 
         with pytest.raises(SystemExit, match="--bundle"):
             main(["compile", *netlists])
-
-    def test_throughput_and_serve_bench_on_bundle(
-        self, netlists, tmp_path, capsys
-    ):
-        from repro.cli import main
-
-        out = str(tmp_path / "model.lpa")
-        assert main(
-            ["compile", *netlists, "--bundle", "--lpvs", "4",
-             "--lpes", "8", "-o", out]
-        ) == 0
-        capsys.readouterr()
-
-        assert main(
-            ["throughput", "--artifact", out, "--batches", "3",
-             "--array-size", "2", "--json"]
-        ) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["bit_identical"] is True
-        assert len(report["pipeline"]["stages"]) == 3
-
-        assert main(
-            ["serve-bench", "--artifact", out, "--requests", "6",
-             "--clients", "2", "--json"]
-        ) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["bit_identical"] is True
-        assert report["pipeline"] is not None
 
     def test_inspect_unknown_version_prints_header(
         self, tmp_path, capsys

@@ -44,7 +44,6 @@ from repro.serve import (
     WorkerPool,
     graph_fingerprint,
     naive_serve,
-    run_serve_bench,
     serve,
 )
 from repro.serve.scheduler import RELEASE_TRIGGERS, DeadlineExceeded
@@ -767,14 +766,16 @@ class TestWorkerPool:
 
 
 class TestInferenceServer:
-    def test_end_to_end_bit_identical_in_order(self, compiled):
+    @pytest.mark.parametrize("placement", ["round_robin", "least_loaded"])
+    def test_end_to_end_bit_identical_in_order(self, compiled, placement):
         requests = _requests(compiled.program.graph, 24)
         direct = naive_serve(compiled.program, requests)
         served = serve(
             compiled.program,
             requests,
             serving=ServeConfig(
-                num_workers=2, max_batch_size=6, max_wait_ms=5.0
+                num_workers=2, max_batch_size=6, max_wait_ms=5.0,
+                placement=placement,
             ),
         )
         assert len(served) == len(direct)
@@ -820,34 +821,6 @@ class TestInferenceServer:
         server = InferenceServer(compiled.program)
         server.close()
         server.close()
-
-
-class TestServeBench:
-    def test_report_shape_and_bit_identity(self, compiled):
-        report = run_serve_bench(
-            compiled.program,
-            requests=16,
-            array_size=1,
-            clients=4,
-            serving=ServeConfig(
-                num_workers=2,
-                max_batch_size=8,
-                max_wait_ms=1.0,
-                cache=ProgramCache(),
-            ),
-        )
-        assert report["bit_identical"] is True
-        assert report["requests"] == 16
-        assert report["scheduler"]["requests"] >= 16
-        assert report["naive"]["requests_per_second"] > 0
-        assert report["served"]["requests_per_second"] > 0
-        assert sum(report["pool"]["dispatched"]) >= 1
-
-    def test_validation(self, compiled):
-        with pytest.raises(ValueError):
-            run_serve_bench(compiled.program, requests=0)
-        with pytest.raises(ValueError):
-            run_serve_bench(compiled.program, clients=0)
 
 
 class TestRequestDeadlines:
