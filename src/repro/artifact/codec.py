@@ -34,15 +34,21 @@ import json
 import zipfile
 import zlib
 from dataclasses import fields, is_dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.codegen import DeferredProgram, Program
+from ..core.codegen import (
+    TABLE_VIEWS,
+    DeferredProgram,
+    Program,
+    ProgramTables,
+    _decode_tables,
+)
 from ..core.config import LPUConfig
 from ..core.fanout import FanoutTables
-from ..core.isa import LPEInstruction, decode_instruction, encode_instruction
+from ..core.isa import malformed_words
 from ..core.liveness import FusedLevel, FusedProgram
 from ..core.schedule import RuntimeSchedule
 from ..core.trace import (
@@ -332,44 +338,13 @@ def encode_program(
 ) -> Tuple[Dict[str, object], Dict[str, np.ndarray]]:
     """Encode a compiled program as (header fragment, arrays).
 
-    Instructions serialize through :func:`repro.core.isa.encode_instruction`
-    (one ``uint32`` word each) with the trace-only node annotations in a
-    parallel ``int64`` column.  Queue entries and buffer-traffic rows are
-    emitted in sorted order, so encoding is canonical: the same executable
-    always produces the same bytes.
+    The instruction and traffic arrays are the program's own columns
+    (:class:`~repro.core.codegen.ProgramTables`: one
+    :func:`~repro.core.isa.encode_instruction` word per LPE, the
+    trace-only node annotations in a parallel ``int64`` column), already
+    sorted — so encoding is canonical: the same executable always
+    produces the same bytes.
     """
-    m = program.config.m
-    entries = sorted(
-        (lpv, address, vec)
-        for lpv, per_lpv in program.queues.items()
-        for address, vec in per_lpv.items()
-    )
-    queue_lpv = np.asarray([e[0] for e in entries], dtype=np.int64)
-    queue_addr = np.asarray([e[1] for e in entries], dtype=np.int64)
-    queue_words = np.zeros((len(entries), m), dtype=np.uint32)
-    queue_nodes = np.full((len(entries), m), _NONE, dtype=np.int64)
-    for row, (_lpv, _address, vec) in enumerate(entries):
-        for col, instr in enumerate(vec):
-            queue_words[row, col] = encode_instruction(instr)
-            if instr.node is not None:
-                queue_nodes[row, col] = instr.node
-
-    port_code = {"a": 0, "b": 1}
-    input_rows = sorted(
-        (cycle, col, port_code[port], node)
-        for cycle, entry in program.input_reads.items()
-        for (col, port), node in entry.items()
-    )
-    circ_rows = sorted(
-        (cycle, lpv, col, port_code[port], key[0], key[1])
-        for (cycle, lpv), entry in program.circulation_reads.items()
-        for (col, port), key in entry.items()
-    )
-    write_rows = sorted(
-        (cycle, key[0], key[1], lpv, col)
-        for cycle, writes in program.buffer_writes.items()
-        for (key, lpv, col) in writes
-    )
     config = program.config
     header = {
         "config": {
@@ -389,31 +364,8 @@ def encode_program(
     }
     graph_header, arrays = encode_graph(program.graph)
     header["graph"] = graph_header
-    arrays.update(
-        {
-            "queue_lpv": queue_lpv,
-            "queue_addr": queue_addr,
-            "queue_words": queue_words,
-            "queue_nodes": queue_nodes,
-            "input_reads": np.asarray(input_rows, dtype=np.int64).reshape(
-                (len(input_rows), 4)
-            ),
-            "circulation_reads": np.asarray(
-                circ_rows, dtype=np.int64
-            ).reshape((len(circ_rows), 6)),
-            "buffer_writes": np.asarray(
-                write_rows, dtype=np.int64
-            ).reshape((len(write_rows), 5)),
-        }
-    )
+    arrays.update(program.tables._asdict())
     return header, arrays
-
-
-#: the arrays :func:`_decode_tables` reads, in its argument order.
-_PROGRAM_TABLES = (
-    "queue_lpv", "queue_addr", "queue_words", "queue_nodes",
-    "input_reads", "circulation_reads", "buffer_writes",
-)
 
 
 def decode_program(
@@ -423,15 +375,14 @@ def decode_program(
 
     The result carries a :class:`~repro.core.schedule.RuntimeSchedule` —
     the compile-time MFG DAG is not part of the executable format — and is
-    bit-identical to the original under both execution engines (outputs
+    bit-identical to the original under every execution engine (outputs
     and run statistics).
 
-    Config, schedule, PO tables and the graph interface are decoded here.
-    The instruction queues, the buffer-traffic tables and the graph's
-    node table are what the cycle engine, the lowering and
-    ``evaluate_graph`` read and what a boot from embedded tables never
-    does: they decode on their first read, where a failure is an
-    :class:`ArtifactError`.
+    The program's columns, their dict views and the graph's node table —
+    what the lowering, the cycle engine and ``evaluate_graph`` read and a
+    boot from embedded tables never does — are checked
+    (:func:`_checked_tables`, once, with whole-array tests) and decoded
+    on their first read, where a failure is an :class:`ArtifactError`.
     """
     config = LPUConfig(
         num_lpvs=int(header["config"]["num_lpvs"]),
@@ -440,21 +391,41 @@ def decode_program(
         frequency_hz=float(header["config"]["frequency_hz"]),
     )
     sched = dict(header["schedule"])
-    return DeferredProgram.deferring(
-        ("queues", "input_reads", "circulation_reads", "buffer_writes"),
-        partial(
-            decoded, _decode_tables, *(arrays[n] for n in _PROGRAM_TABLES)
-        ),
+    schedule = RuntimeSchedule(
         config=config,
-        graph=decode_graph(dict(header["graph"]), arrays),
-        schedule=RuntimeSchedule(
-            config=config,
-            makespan=int(sched["makespan"]),
-            base_address=int(sched["base_address"]),
-            policy=str(sched["policy"]),
-            circulations=int(sched["circulations"]),
-            queue_depth=int(sched["queue_depth"]),
+        makespan=int(sched["makespan"]),
+        base_address=int(sched["base_address"]),
+        policy=str(sched["policy"]),
+        circulations=int(sched["circulations"]),
+        queue_depth=int(sched["queue_depth"]),
+    )
+    graph = decode_graph(dict(header["graph"]), arrays)
+    # Checked once, on the first read of the columns or of their views.
+    tables = lru_cache(maxsize=None)(partial(
+        decoded,
+        _checked_tables,
+        ProgramTables(*(arrays[name] for name in ProgramTables._fields)),
+        config,
+        schedule.makespan,
+        graph.inputs,
+        partial(
+            _constant_ids,
+            list(header["graph"]["ops"]),
+            arrays["graph_ids"],
+            arrays["graph_ops"],
         ),
+    ))
+    return DeferredProgram.deferring(
+        {
+            ("tables",): lambda: {"tables": tables()},
+            # Views imply their columns: decoding them stores both.
+            TABLE_VIEWS: lambda: {
+                **_decode_tables(tables()), "tables": tables(),
+            },
+        },
+        config=config,
+        graph=graph,
+        schedule=schedule,
         po_nodes={
             name: int(nid) for name, nid in dict(header["po_nodes"]).items()
         },
@@ -467,71 +438,72 @@ def decode_program(
     )
 
 
-def _decode_tables(
-    queue_lpv: np.ndarray,
-    queue_addr: np.ndarray,
-    queue_words: np.ndarray,
-    queue_nodes: np.ndarray,
-    input_rows: np.ndarray,
-    circulation_rows: np.ndarray,
-    write_rows: np.ndarray,
-) -> Dict[str, object]:
-    """The deferred fields of :func:`decode_program`."""
-    rows = len(queue_lpv)
+def _constant_ids(
+    op_table: List[str], node_ids: np.ndarray, ops: np.ndarray
+) -> np.ndarray:
+    """Ids of the graph's constant nodes, from its encoded columns."""
+    codes = [op_table.index(op) for op in (cells.CONST0, cells.CONST1)
+             if op in op_table]
+    return node_ids[np.isin(ops, codes)]
+
+
+def _checked_tables(
+    tables: ProgramTables, config: LPUConfig, makespan: int,
+    pis: List[int], constant_ids,
+) -> ProgramTables:
+    """``tables`` once every row is one the engines can execute: words
+    an ``m``-wide LPV can run, rows inside the machine and the schedule,
+    the encoder's ascending row order with unique keys, input reads of
+    PIs and (``constant_ids()``) constants.  The lowering indexes arrays
+    with these fields."""
+    n, m = config.n, config.m
+    if any(column.dtype.kind not in "iu" for column in tables):
+        raise ArtifactDecodeError("program table is not an integer table")
+    rows = len(tables.queue_lpv)
     if not (
-        rows == len(queue_addr)
-        and queue_words.shape == queue_nodes.shape
-        and queue_words.shape[:1] == (rows,)
+        tables.queue_lpv.shape == tables.queue_addr.shape == (rows,)
+        and tables.queue_words.shape == tables.queue_nodes.shape == (rows, m)
     ):
         raise ArtifactDecodeError("instruction queue columns differ in shape")
-    # Instructions are frozen, so identical (word, node) pairs — NOPs
-    # above all — share one object.  The memo saves a dataclass per
-    # repeat, not the look-up per queue entry: decoding stays linear in
-    # the queue, which is why it waits for the first read.
-    memo: Dict[Tuple[int, int], LPEInstruction] = {}
-
-    def instruction_of(word: int, node: int) -> LPEInstruction:
-        got = memo.get((word, node))
-        if got is None:
-            got = decode_instruction(word)
-            if node != _NONE:
-                got = LPEInstruction(
-                    op=got.op, a=got.a, b=got.b, valid=got.valid, node=node
-                )
-            memo[(word, node)] = got
-        return got
-
-    queues: Dict[int, Dict[int, List[LPEInstruction]]] = {}
-    for lpv, address, words, nodes in zip(
-        queue_lpv.tolist(),
-        queue_addr.tolist(),
-        queue_words.tolist(),
-        queue_nodes.tolist(),
+    if malformed_words(tables.queue_words, m).any():
+        raise ArtifactDecodeError("malformed instruction word")
+    tables = ProgramTables(*(
+        column.astype(np.uint32 if name == "queue_words" else np.int64,
+                      copy=False)
+        for name, column in zip(ProgramTables._fields, tables)
+    ))
+    lpv, addr, _, _, reads, circ, writes = tables
+    for table, bounds in (
+        # upper bound of each column (None: any value)
+        (lpv[:, None], (n,)),
+        (reads, (makespan, m, 2, None)),
+        (circ, (makespan, n, m, 2, None, None)),
+        (writes, (makespan, None, None, n, m)),
     ):
-        queues.setdefault(lpv, {})[address] = list(
-            map(instruction_of, words, nodes)
-        )
-
-    port_name = {0: "a", 1: "b"}
-    input_reads: Dict[int, Dict[Tuple[int, str], int]] = {}
-    for cycle, col, port, node in input_rows.tolist():
-        input_reads.setdefault(cycle, {})[(col, port_name[port])] = node
-    circulation_reads: Dict[
-        Tuple[int, int], Dict[Tuple[int, str], Tuple[int, int]]
-    ] = {}
-    for cycle, lpv, col, port, uid, node in circulation_rows.tolist():
-        circulation_reads.setdefault((cycle, lpv), {})[
-            (col, port_name[port])
-        ] = (uid, node)
-    buffer_writes: Dict[int, List[Tuple[Tuple[int, int], int, int]]] = {}
-    for cycle, uid, node, lpv, col in write_rows.tolist():
-        buffer_writes.setdefault(cycle, []).append(((uid, node), lpv, col))
-    return {
-        "queues": queues,
-        "input_reads": input_reads,
-        "circulation_reads": circulation_reads,
-        "buffer_writes": buffer_writes,
-    }
+        if table.ndim != 2 or table.shape[1] != len(bounds):
+            raise ArtifactDecodeError("traffic table has the wrong shape")
+        if len(table) and not all(
+            upper is None or 0 <= low <= high < upper
+            for low, high, upper in zip(
+                table.min(axis=0).tolist(), table.max(axis=0).tolist(), bounds
+            )
+        ):
+            raise ArtifactDecodeError("table row out of range")
+    ascending = (
+        (lpv[1:] > lpv[:-1])
+        | ((lpv[1:] == lpv[:-1]) & (addr[1:] > addr[:-1])),
+        np.diff((reads[:, 0] * m + reads[:, 1]) * 2 + reads[:, 2]) > 0,
+        np.diff(
+            ((circ[:, 0] * n + circ[:, 1]) * m + circ[:, 2]) * 2 + circ[:, 3]
+        ) > 0,
+        np.diff(writes[:, 0]) >= 0,
+    )
+    if not all(step.all() for step in ascending):
+        raise ArtifactDecodeError("table rows unsorted or repeated")
+    sources = np.concatenate((pis, constant_ids())).astype(np.int64)
+    if not np.isin(reads[:, 3], sources).all():
+        raise ArtifactDecodeError("input read of a node that is no source")
+    return tables
 
 
 # ----------------------------------------------------------------------
@@ -610,13 +582,14 @@ def decode_trace(
     and statistics here, the per-level tables and the slot→node map on
     their first read (a failure there is an :class:`ArtifactError`)."""
     return DeferredTraceProgram.deferring(
-        ("levels", "slot_nodes"),
-        partial(
-            decoded,
-            _decode_levels,
-            list(header["ops"]),
-            *(arrays[n] for n in _TRACE_TABLES),
-        ),
+        {
+            ("levels", "slot_nodes"): partial(
+                decoded,
+                _decode_levels,
+                list(header["ops"]),
+                *(arrays[n] for n in _TRACE_TABLES),
+            ),
+        },
         program=program,
         num_slots=int(header["num_slots"]),
         # Rebuild in slot order (the JSON header sorts by name): fusing

@@ -23,6 +23,7 @@ import threading
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
+from ..netlist import cells
 from ..netlist.graph import LogicGraph
 
 __all__ = [
@@ -34,6 +35,10 @@ __all__ = [
 ]
 
 
+#: op -> its ``repr``, as the fingerprint rows spell it.
+_QUOTED = {op: repr(op) for op in cells.ALL_OPS}
+
+
 def graph_fingerprint(graph: LogicGraph) -> str:
     """Stable content hash of a logic graph's structure and interface.
 
@@ -41,20 +46,41 @@ def graph_fingerprint(graph: LogicGraph) -> str:
     only on the graph's logical content — never on node-id allocation
     history or object identity.  (:mod:`repro.serve.cache` re-exports this
     as the workload key of the program cache.)
+
+    The hash covers one row per node, ``repr((i, op, fanins))`` with
+    renumbered ids, then a ``repr`` row per PI and PO.  Node rows are
+    formatted directly — ids as decimal strings, ops as their ``repr`` —
+    to the same text.
     """
     order = graph.topological_order()
-    renumber = {nid: i for i, nid in enumerate(order)}
+    # Renumbered ids as text: a list when the ids are already 0..n-1.
+    label = list(map(str, range(len(order))))
+    if order and (order[0], order[-1]) != (0, len(order) - 1):
+        label = dict(zip(order, label))
     nodes = graph.nodes
     rows = []
-    for i, nid in enumerate(order):
+    append = rows.append
+    for nid in order:
         node = nodes[nid]
-        rows.append(
-            repr((i, node.op, tuple(renumber[f] for f in node.fanins)))
-        )
+        fanins = node.fanins
+        if len(fanins) == 2:
+            append(
+                f"({label[nid]}, {_QUOTED[node.op]}, "
+                f"({label[fanins[0]]}, {label[fanins[1]]}))"
+            )
+        elif len(fanins) == 1:
+            append(
+                f"({label[nid]}, {_QUOTED[node.op]}, ({label[fanins[0]]},))"
+            )
+        else:
+            append(
+                f"({label[nid]}, {_QUOTED[node.op]}, "
+                f"({', '.join(label[f] for f in fanins)}))"
+            )
     for nid in graph.inputs:
-        rows.append(repr(("pi", graph.input_name(nid), renumber[nid])))
+        rows.append(repr(("pi", graph.input_name(nid), int(label[nid]))))
     for name, nid in graph.outputs:
-        rows.append(repr(("po", name, renumber[nid])))
+        rows.append(repr(("po", name, int(label[nid]))))
     # One buffer, one update: the digest of the rows' concatenation.
     return hashlib.sha256("".join(rows).encode()).hexdigest()
 

@@ -17,11 +17,12 @@ state:
    instructions, latch directives, buffer traffic, and PI reads.
 3. **merge** (sequential) — bundles are folded into the global instruction
    queues and buffer-event stream in the same order the reference
-   implementation visits them, then frozen into immutable
-   :class:`~repro.core.isa.LPEInstruction` vectors.
+   implementation visits them, then frozen straight into the program's
+   columns (:class:`~repro.core.codegen.ProgramTables`): one 32-bit ISA
+   word per LPE per queue entry, rows sorted by ``(lpv, address)``.
 
 The emit phase is what makes it faster than the reference (interned port
-specs, precomputed fanin tables, no intermediate mutable-instruction
+codes, precomputed fanin tables, no intermediate mutable-instruction
 objects).  It is pure Python, so it runs inline: threads would only take
 turns on the interpreter lock.
 """
@@ -30,32 +31,41 @@ from __future__ import annotations
 
 from typing import Dict, List, Set, Tuple
 
+import numpy as np
+
 from ..netlist import cells
 from ..netlist.graph import LogicGraph
 from ..core.codegen import (
+    NO_NODE,
     PORT_A,
     PORT_B,
     Program,
+    ProgramTables,
     _peak_buffer_words,
     _SnapshotAllocator,
 )
 from ..core.config import LPUConfig
 from ..core.isa import (
-    IDLE_PORT,
-    LPEInstruction,
-    NOP,
-    NOP_INSTRUCTION,
-    PortSpec,
+    _OPCODES,
+    NOP_WORD,
     SRC_CONST,
     SRC_INPUT,
     SRC_SNAPSHOT,
     SRC_SWITCH,
+    _decode_port,
+    port_code,
 )
 from ..core.schedule import Schedule, ScheduledMFG, ScheduleError
 
 __all__ = ["generate_program_parallel"]
 
 _PORT_NAMES = (PORT_A, PORT_B)
+_IDLE = port_code(SRC_CONST, 0)
+_VALID = 1 << 4
+#: an instruction port no fanin or latch configured (idle when frozen).
+_UNSET = -1
+#: opcode of a latch-only instruction: a NOP (computes nothing).
+_LATCH_ONLY = 0
 
 
 class _Plan:
@@ -102,16 +112,15 @@ class _Bundle:
     )
 
     def __init__(self) -> None:
-        #: (lpv, address) -> {col: [op, a, b, node]} (valid implied).
+        #: (lpv, address) -> {col: [opcode, a, b, node]}, ports as 11-bit
+        #: ISA fields or ``_UNSET`` (valid implied).
         self.computes: Dict[Tuple[int, int], Dict[int, list]] = {}
-        #: (lpv, address, col, port index, PortSpec with latch).
-        self.latches: List[Tuple[int, int, int, int, PortSpec]] = []
-        #: (cycle, (col, port name), PI node id).
-        self.input_reads: List[Tuple[int, Tuple[int, str], int]] = []
-        #: ((cycle, lpv), (col, port name), buffer key).
-        self.circulation_reads: List[
-            Tuple[Tuple[int, int], Tuple[int, str], Tuple[int, int]]
-        ] = []
+        #: (lpv, address, col, port index, latched port field).
+        self.latches: List[Tuple[int, int, int, int, int]] = []
+        #: (cycle, col, port index, PI node id) — input_reads table rows.
+        self.input_reads: List[Tuple[int, int, int, int]] = []
+        #: (cycle, lpv, col, port index, uid, node) — circulation rows.
+        self.circulation_reads: List[Tuple[int, int, int, int, int, int]] = []
         #: first-read buffer-write events in emission order.
         self.buffer_events: List[Tuple[Tuple[int, int], int, int, int]] = []
         #: (buffer key, reading macro-cycle).
@@ -224,15 +233,15 @@ class _Emitter:
             nid: (node.op, node.fanins) for nid, node in graph.nodes.items()
         }
         m = config.m
-        # Interned port specs: emission only ever needs switch columns,
+        # Interned port fields: emission only ever needs switch columns,
         # input-buffer slots, the snapshot port, and the two constants.
-        self.switch_ports = [PortSpec(SRC_SWITCH, c) for c in range(m)]
+        self.switch_ports = [port_code(SRC_SWITCH, c) for c in range(m)]
         self.switch_latch_ports = [
-            PortSpec(SRC_SWITCH, c, latch=True) for c in range(m)
+            port_code(SRC_SWITCH, c, latch=True) for c in range(m)
         ]
-        self.input_ports = [PortSpec(SRC_INPUT, s) for s in range(2 * m)]
-        self.snapshot_port = PortSpec(SRC_SNAPSHOT)
-        self.const_ports = (PortSpec(SRC_CONST, 0), PortSpec(SRC_CONST, 1))
+        self.input_ports = [port_code(SRC_INPUT, s) for s in range(2 * m)]
+        self.snapshot_port = port_code(SRC_SNAPSHOT)
+        self.const_ports = (port_code(SRC_CONST, 0), port_code(SRC_CONST, 1))
 
     def emit(self, plan: _Plan) -> _Bundle:
         item = plan.item
@@ -258,6 +267,7 @@ class _Emitter:
         lpv_of_level = item.lpv_of_level
         const0 = cells.CONST0
         const1 = cells.CONST1
+        opcodes = _OPCODES
         bundle = _Bundle()
         computes = bundle.computes
         input_read_list = bundle.input_reads
@@ -291,14 +301,14 @@ class _Emitter:
             lpv: int,
             col: int,
             slot: int,
-        ) -> PortSpec:
+        ) -> int:
             if key not in seen_buffer_keys:
                 seen_buffer_keys.add(key)
                 buffer_event_list.append(
                     (key, write_cycle, write_lpv, write_col)
                 )
             circulation_read_list.append(
-                ((cycle, lpv), (col, _PORT_NAMES[slot]), key)
+                (cycle, lpv, col, slot, key[0], key[1])
             )
             buffer_read_list.append((key, cycle))
             return input_ports[col * 2 + slot]
@@ -319,7 +329,7 @@ class _Emitter:
                         f"already computes node {vec[col][3]}"
                     )
                 op, fanins = node_info[node]
-                instr = [op, None, None, node]
+                instr = [opcodes[op], _UNSET, _UNSET, node]
                 vec[col] = instr
                 slot = 0
                 for fanin in fanins:
@@ -346,9 +356,7 @@ class _Emitter:
                         else:
                             spec = switch_ports[src_col]
                     elif reads_pis:
-                        input_read_list.append(
-                            (cycle, (col, _PORT_NAMES[slot]), fanin)
-                        )
+                        input_read_list.append((cycle, col, slot, fanin))
                         spec = input_ports[col * 2 + slot]
                     else:
                         c_item = producer.get(fanin)
@@ -415,11 +423,9 @@ def generate_program_parallel(
 
     # ---- phase 3: deterministic merge in issue order ----------------------
     mutable: Dict[Tuple[int, int], Dict[int, list]] = {}
-    input_reads: Dict[int, Dict[Tuple[int, str], int]] = {}
-    circulation_reads: Dict[
-        Tuple[int, int], Dict[Tuple[int, str], Tuple[int, int]]
-    ] = {}
-    buffer_writes: Dict[int, List[Tuple[Tuple[int, int], int, int]]] = {}
+    input_reads: Dict[Tuple[int, int, int], int] = {}
+    circulation_reads: Dict[Tuple[int, int, int, int], Tuple[int, int]] = {}
+    write_rows: List[Tuple[int, int, int, int, int]] = []
     buffer_write_cycle: Dict[Tuple[int, int], int] = {}
     buffer_reads_by_key: Dict[Tuple[int, int], List[int]] = {}
     po_buffer_keys: Dict[str, Tuple[int, int]] = {}
@@ -430,7 +436,7 @@ def generate_program_parallel(
         if key in buffer_write_cycle:
             return
         buffer_write_cycle[key] = cycle
-        buffer_writes.setdefault(cycle, []).append((key, lpv, column))
+        write_rows.append((cycle, key[0], key[1], lpv, column))
 
     for bundle in bundles:
         for cell_key, per_col in bundle.computes.items():
@@ -440,7 +446,7 @@ def generate_program_parallel(
             else:
                 for col, instr in per_col.items():
                     prior = existing.get(col)
-                    if prior is not None and prior[0] is not None:
+                    if prior is not None and prior[0] != _LATCH_ONLY:
                         raise ScheduleError(
                             f"column {col} at queue entry {cell_key} already "
                             f"computes node {prior[3]}"
@@ -449,85 +455,98 @@ def generate_program_parallel(
                         # Latch-only placeholder: keep its latched ports,
                         # replicating the reference set_port semantics.
                         for slot in (1, 2):
-                            if prior[slot] is not None:
+                            if prior[slot] != _UNSET:
                                 if (
-                                    instr[slot] is not None
+                                    instr[slot] != _UNSET
                                     and instr[slot] != prior[slot]
                                 ):
-                                    raise ScheduleError(
-                                        f"port {_PORT_NAMES[slot - 1]!r} "
-                                        f"already configured with "
-                                        f"{prior[slot]}, cannot also be "
-                                        f"{instr[slot]}"
+                                    _port_conflict(
+                                        slot - 1, prior[slot], instr[slot]
                                     )
                                 instr[slot] = prior[slot]
                     existing[col] = instr
-        for cycle, key, fanin in bundle.input_reads:
-            input_reads.setdefault(cycle, {})[key] = fanin
-        for cell_cycle_lpv, key, buffer_key in bundle.circulation_reads:
-            circulation_reads.setdefault(cell_cycle_lpv, {})[key] = buffer_key
+        for cycle, col, slot, fanin in bundle.input_reads:
+            input_reads[cycle, col, slot] = fanin
+        for cycle, lpv, col, slot, uid, node in bundle.circulation_reads:
+            circulation_reads[cycle, lpv, col, slot] = (uid, node)
         for key, cycle, lpv, col in bundle.buffer_events:
             note_buffer_write(key, cycle, lpv, col)
         for key, cycle in bundle.buffer_reads:
             buffer_reads_by_key.setdefault(key, []).append(cycle)
-        for lpv, address, col, slot, spec in bundle.latches:
+        for lpv, address, col, slot, port in bundle.latches:
             vec = mutable.setdefault((lpv, address), {})
             instr = vec.get(col)
             if instr is None:
-                instr = [None, None, None, None]
+                instr = [_LATCH_ONLY, _UNSET, _UNSET, NO_NODE]
                 vec[col] = instr
             current = instr[1 + slot]
-            if current is not None and current != spec:
-                raise ScheduleError(
-                    f"port {_PORT_NAMES[slot]!r} already configured with "
-                    f"{current}, cannot also be {spec}"
-                )
-            instr[1 + slot] = spec
+            if current != _UNSET and current != port:
+                _port_conflict(slot, current, port)
+            instr[1 + slot] = port
         for key, cycle, lpv, col in bundle.po_events:
             note_buffer_write(key, cycle, lpv, col)
         for po_name, key in bundle.po_names:
             po_buffer_keys.setdefault(po_name, key)
 
-    # ---- freeze instruction vectors ---------------------------------------
-    # Instructions are built through ``__new__`` + ``object.__setattr__``:
-    # every field is valid by construction here (ops come from validated
-    # graph nodes, ports from the interned tables), so the frozen-dataclass
-    # ``__init__``/``__post_init__`` machinery is pure overhead in this
-    # loop, which creates one object per emitted instruction.
-    queues: Dict[int, Dict[int, List[LPEInstruction]]] = {}
-    instr_new = LPEInstruction.__new__
-    set_field = object.__setattr__
-    for (lpv, address), per_col in mutable.items():
-        vec = [NOP_INSTRUCTION] * m
-        for col, (op, a, b, node) in per_col.items():
-            frozen = instr_new(LPEInstruction)
-            if op is None:
-                set_field(frozen, "op", NOP)
-                set_field(frozen, "valid", False)
-                set_field(frozen, "node", None)
-            else:
-                set_field(frozen, "op", op)
-                set_field(frozen, "valid", True)
-                set_field(frozen, "node", node)
-            set_field(frozen, "a", a if a is not None else IDLE_PORT)
-            set_field(frozen, "b", b if b is not None else IDLE_PORT)
-            vec[col] = frozen
-        queues.setdefault(lpv, {})[address] = vec
+    # ---- freeze into columns ----------------------------------------------
+    # One ISA word per configured LPE; unconfigured LPEs of an entry keep
+    # the NOP word, unconfigured ports the idle constant-0 field.
+    entries = sorted(mutable)
+    flat = [
+        row * m + col
+        for row, entry in enumerate(entries)
+        for col in mutable[entry]
+    ]
+    fields = np.array(
+        [instr for entry in entries for instr in mutable[entry].values()],
+        dtype=np.int64,
+    ).reshape(-1, 4)
+    opcode, a, b, nodes = fields.T
+    queue_words = np.full((len(entries), m), NOP_WORD, dtype=np.uint32)
+    queue_words.reshape(-1)[flat] = (
+        np.where(opcode == _LATCH_ONLY, 0, opcode | _VALID)
+        | np.where(a == _UNSET, _IDLE, a) << 5
+        | np.where(b == _UNSET, _IDLE, b) << 16
+    )
+    queue_nodes = np.full((len(entries), m), NO_NODE, dtype=np.int64)
+    queue_nodes.reshape(-1)[flat] = nodes
+    tables = ProgramTables(
+        queue_lpv=np.asarray([e[0] for e in entries], dtype=np.int64),
+        queue_addr=np.asarray([e[1] for e in entries], dtype=np.int64),
+        queue_words=queue_words,
+        queue_nodes=queue_nodes,
+        input_reads=_rows(
+            [key + (node,) for key, node in input_reads.items()], 4
+        ),
+        circulation_reads=_rows(
+            [key + value for key, value in circulation_reads.items()], 6
+        ),
+        buffer_writes=_rows(write_rows, 5),
+    )
 
     po_nodes = {name: nid for name, nid in graph.outputs}
     peak = _peak_buffer_words(
         buffer_write_cycle, buffer_reads_by_key, schedule.makespan
     )
-    return Program(
+    return Program.from_tables(
+        tables,
         config=config,
         graph=graph,
         schedule=schedule,
-        queues=queues,
-        input_reads=input_reads,
-        circulation_reads=circulation_reads,
-        buffer_writes=buffer_writes,
         po_nodes=po_nodes,
         po_buffer_keys=po_buffer_keys,
         peak_buffer_words=peak,
         buffer_spills=buffer_spills,
     )
+
+
+def _port_conflict(slot: int, current: int, port: int) -> None:
+    raise ScheduleError(
+        f"port {_PORT_NAMES[slot]!r} already configured with "
+        f"{_decode_port(current)}, cannot also be {_decode_port(port)}"
+    )
+
+
+def _rows(rows: List[tuple], width: int) -> np.ndarray:
+    """``rows`` as a sorted int64 table."""
+    return np.asarray(sorted(rows), dtype=np.int64).reshape(len(rows), width)

@@ -5,7 +5,7 @@ Partitioning (Algorithms 1/2), merging (Algorithm 3), scheduling
 code generation, and the end-to-end :func:`compile_ffcl` facade.
 """
 
-from .codegen import PORT_A, PORT_B, Program
+from .codegen import PORT_A, PORT_B, Program, ProgramTables
 from .compiler import CompileResult, compile_ffcl
 from .config import LPUConfig, PAPER_CONFIG
 from .isa import (
@@ -74,6 +74,7 @@ __all__ = [
     "PORT_A",
     "PORT_B",
     "Program",
+    "ProgramTables",
     "CompileResult",
     "compile_ffcl",
     "LPUConfig",

@@ -7,6 +7,16 @@ traffic — everything the cycle-accurate LPU simulator executes.  The
 :class:`~repro.core.schedule.Schedule` with the snapshot-column allocator
 and buffer-liveness count defined here.
 
+The program *is* seven columns (:class:`ProgramTables`): the 32-bit ISA
+word of every LPE of every queue entry with its traced node, and the
+input-buffer, circulation and buffer-write rows — exactly the arrays an
+``.lpa`` artifact stores.  Codegen emits them, the lowering, the liveness
+renaming and the artifact encoder read them whole, and a loaded artifact
+hands its arrays over unchanged.  The per-word dicts the cycle-accurate
+model reads (:attr:`Program.queues` and the three traffic maps) are views
+that decode from the columns on their first read, so compiled and loaded
+programs have one representation.
+
 Dataflow rules the generator implements:
 
 * **within an MFG** — level l reads level l-1's results through the switch
@@ -34,32 +44,77 @@ Dataflow rules the generator implements:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Dict, List, NamedTuple, Set, Tuple
+
+import numpy as np
 
 from ..netlist.graph import DeferredFields, LogicGraph
 from .config import LPUConfig
-from .isa import NOP, LPEInstruction
+from .isa import (
+    NOP_INSTRUCTION,
+    LPEInstruction,
+    decode_instruction,
+)
 from .schedule import Schedule, ScheduleError
 
 PORT_A = "a"
 PORT_B = "b"
+
+#: node-id column value of a word that computes no traced node.
+NO_NODE = -1
+
+
+class ProgramTables(NamedTuple):
+    """The instruction and traffic columns of a program — the arrays its
+    artifact stores, under the same names.  Rows are sorted ascending and
+    their leading key columns (named below) are unique."""
+
+    #: int64 (E,): LPV of each instruction-queue entry — key with
+    #: :attr:`queue_addr`.
+    queue_lpv: np.ndarray
+    #: int64 (E,): normalized queue address of each entry.
+    queue_addr: np.ndarray
+    #: uint32 (E, m): the 32-bit ISA word of every LPE of each entry.
+    queue_words: np.ndarray
+    #: int64 (E, m): node each word computes, :data:`NO_NODE` if none.
+    queue_nodes: np.ndarray
+    #: int64 (I, 4): (macro-cycle, column, port, PI/constant node id) —
+    #: LPV 0 reads of the input data buffer; key: the first three.
+    input_reads: np.ndarray
+    #: int64 (C, 6): (macro-cycle, lpv, column, port, producer MFG uid,
+    #: node id) — reads of the output data buffer; key: the first four.
+    circulation_reads: np.ndarray
+    #: int64 (W, 5): (macro-cycle, producer MFG uid, node id, lpv,
+    #: column) — captures into the output data buffer.
+    buffer_writes: np.ndarray
+
+
+#: the fields of :class:`Program` that are dict views of its tables.
+TABLE_VIEWS = ("queues", "input_reads", "circulation_reads", "buffer_writes")
+
+_PORT_NAMES = (PORT_A, PORT_B)
 
 
 @dataclass
 class Program:
     """Everything the LPU needs to execute one FFCL block.
 
-    The four per-instruction tables — :attr:`queues`, :attr:`input_reads`,
-    :attr:`circulation_reads`, :attr:`buffer_writes` — are what the
-    cycle-accurate model and the lowering read and what the table engines
-    never do, so a program loaded from an artifact
-    (:class:`DeferredProgram`) decodes them on their first read.
+    The program *is* its :attr:`tables`: the ``codegen`` pass emits them,
+    an artifact stores them, and the lowering, the liveness renaming and
+    the encoder read them whole.  :attr:`queues`, :attr:`input_reads`,
+    :attr:`circulation_reads` and :attr:`buffer_writes` are per-word dict
+    views of those columns for the cycle-accurate model and for
+    inspection; every program — compiled (built by :meth:`from_tables`)
+    or loaded — decodes them on their first read.  A loaded program also
+    checks its :attr:`tables` on their first read.
     """
 
     config: LPUConfig
     graph: LogicGraph
     schedule: Schedule
+    tables: ProgramTables = field(compare=False, repr=False)
     #: lpv -> normalized queue address -> instruction vector (length m).
     queues: Dict[int, Dict[int, List[LPEInstruction]]]
     #: macro-cycle -> {(column, port): source node id} — LPV 0 reads of
@@ -85,26 +140,23 @@ class Program:
     #: in the output data buffer instead (0 when m is sized sensibly).
     buffer_spills: int = 0
 
+    @classmethod
+    def from_tables(cls, tables: ProgramTables, **fields) -> "Program":
+        """The program whose columns are ``tables`` (``fields`` are the
+        remaining fields); its dict views decode on their first read."""
+        return DeferredProgram.deferring(
+            {TABLE_VIEWS: partial(_decode_tables, tables)},
+            tables=tables,
+            **fields,
+        )
+
     @property
     def num_compute_instructions(self) -> int:
-        # Memoized: the queues are immutable once generated, and the count
-        # is re-read by per-pass instrumentation and metrics on every
-        # compile — a full queue scan each time on large programs.
-        cached = self.__dict__.get("_num_compute_instructions")
-        if cached is None:
-            cached = sum(
-                1
-                for per_lpv in self.queues.values()
-                for vec in per_lpv.values()
-                for instr in vec
-                if instr.op != NOP
-            )
-            self.__dict__["_num_compute_instructions"] = cached
-        return cached
+        return int(np.count_nonzero(self.tables.queue_words & 0xF))
 
     @property
     def num_queue_entries(self) -> int:
-        return sum(len(per_lpv) for per_lpv in self.queues.values())
+        return len(self.tables.queue_lpv)
 
     def instruction_at(self, cycle: int, lpv: int) -> List[LPEInstruction]:
         """Instruction vector executed by ``lpv`` at ``cycle`` (NOPs if
@@ -112,15 +164,63 @@ class Program:
         address = self.schedule.address_of(cycle, lpv)
         vec = self.queues.get(lpv, {}).get(address)
         if vec is None:
-            from .isa import NOP_INSTRUCTION
-
             return [NOP_INSTRUCTION] * self.config.m
         return vec
 
 
 class DeferredProgram(DeferredFields, Program):
-    """A :class:`Program` that has not read its per-instruction tables
-    yet."""
+    """A :class:`Program` that has not decoded its dict views yet."""
+
+
+def _decode_tables(tables: ProgramTables) -> Dict[str, object]:
+    """The dict views of :class:`Program`, decoded from its columns."""
+    # Instructions are frozen, so identical (word, node) pairs — NOPs
+    # above all — share one object.  The memo saves a dataclass per
+    # repeat, not the look-up per queue entry: decoding stays linear in
+    # the queue, which is why it waits for the first read.
+    memo: Dict[Tuple[int, int], LPEInstruction] = {}
+
+    def instruction_of(word: int, node: int) -> LPEInstruction:
+        got = memo.get((word, node))
+        if got is None:
+            got = decode_instruction(word)
+            if node != NO_NODE:
+                got = LPEInstruction(
+                    op=got.op, a=got.a, b=got.b, valid=got.valid, node=node
+                )
+            memo[(word, node)] = got
+        return got
+
+    queues: Dict[int, Dict[int, List[LPEInstruction]]] = {}
+    for lpv, address, words, nodes in zip(
+        tables.queue_lpv.tolist(),
+        tables.queue_addr.tolist(),
+        tables.queue_words.tolist(),
+        tables.queue_nodes.tolist(),
+    ):
+        queues.setdefault(lpv, {})[address] = list(
+            map(instruction_of, words, nodes)
+        )
+
+    input_reads: Dict[int, Dict[Tuple[int, str], int]] = {}
+    for cycle, col, port, node in tables.input_reads.tolist():
+        input_reads.setdefault(cycle, {})[(col, _PORT_NAMES[port])] = node
+    circulation_reads: Dict[
+        Tuple[int, int], Dict[Tuple[int, str], Tuple[int, int]]
+    ] = {}
+    for cycle, lpv, col, port, uid, node in tables.circulation_reads.tolist():
+        circulation_reads.setdefault((cycle, lpv), {})[
+            (col, _PORT_NAMES[port])
+        ] = (uid, node)
+    buffer_writes: Dict[int, List[Tuple[Tuple[int, int], int, int]]] = {}
+    for cycle, uid, node, lpv, col in tables.buffer_writes.tolist():
+        buffer_writes.setdefault(cycle, []).append(((uid, node), lpv, col))
+    return {
+        "queues": queues,
+        "input_reads": input_reads,
+        "circulation_reads": circulation_reads,
+        "buffer_writes": buffer_writes,
+    }
 
 
 class _SnapshotAllocator:

@@ -27,7 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Optional, Tuple
+
+import numpy as np
 
 from ..netlist import cells
 
@@ -112,6 +114,12 @@ def _encode_port(port: PortSpec) -> int:
     return (_SRC_CODES[port.source] << 9) | (int(port.latch) << 8) | port.index
 
 
+def port_code(source: str, index: int = 0, latch: bool = False) -> int:
+    """The 11-bit field of one port configuration, validated as a
+    :class:`PortSpec` is."""
+    return _encode_port(PortSpec(source, index, latch))
+
+
 @lru_cache(maxsize=4096)  # <= 2^11 encodable ports; PortSpec is frozen
 def _decode_port(bits: int) -> PortSpec:
     return PortSpec(
@@ -148,3 +156,45 @@ def decode_instruction(word: int) -> LPEInstruction:
     a = _decode_port((word >> 5) & 0x7FF)
     b = _decode_port((word >> 16) & 0x7FF)
     return LPEInstruction(op=op, a=a, b=b, valid=valid)
+
+
+#: The word of :data:`NOP_INSTRUCTION` (both ports idle, no output).
+NOP_WORD = encode_instruction(NOP_INSTRUCTION)
+
+
+def word_fields(
+    words: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(opcode, valid, a, b)`` of every word, ports as 11-bit fields —
+    :func:`decode_instruction` on whole instruction columns."""
+    words = np.asarray(words, dtype=np.int64)
+    return (
+        words & 0xF,
+        (words >> 4) & 0x1,
+        (words >> 5) & 0x7FF,
+        (words >> 16) & 0x7FF,
+    )
+
+
+def port_fields(
+    ports: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(source code, latch, index)`` of 11-bit port fields."""
+    return (ports >> 9) & 0x3, (ports >> 8) & 0x1, ports & 0xFF
+
+
+def malformed_words(words: np.ndarray, m: int) -> np.ndarray:
+    """Mask of the words no ``m``-wide LPV can execute: every word
+    :func:`decode_instruction` rejects, plus reserved bits, switch
+    columns ``>= m`` and input-buffer slots ``>= 2m``."""
+    words = np.asarray(words, dtype=np.int64)
+    opcode, valid, a, b = word_fields(words)
+    # Bits 27 and up are reserved (this also rejects negative words).
+    bad = (words >> 27 != 0) | (opcode > max(_OPCODES.values()))
+    bad |= valid != (opcode != _OPCODES[NOP])
+    for port in (a, b):
+        source, _, index = port_fields(port)
+        bad |= (source == _SRC_CODES[SRC_SWITCH]) & (index >= m)
+        bad |= (source == _SRC_CODES[SRC_INPUT]) & (index >= 2 * m)
+        bad |= (source == _SRC_CODES[SRC_CONST]) & (index > 1)
+    return bad

@@ -5,10 +5,13 @@ instruction its own value-table slot, so the execution working set grows
 with the *total* instruction count — exactly the memory-traffic problem
 the paper's LPU avoids in hardware with small circulation buffers that
 hold only the values still needed.  This module reproduces that idea in
-software: a single linear-scan pass over the lowered levels computes each
-slot's live range (defined at its level, dead after its last consuming
-level) and renames slots into a compact **register file** whose size is
-the *peak* number of simultaneously-live values.
+software: one pass over the lowered program computes each slot's live
+range (defined at its level, dead after its last consuming level) and
+renames slots into a compact **register file** whose size is the *peak*
+number of simultaneously-live values.  Alias roots, last reads, free
+levels and the operand renaming run on the whole program's instruction
+columns at once; only the register allocation walks the levels, one
+array step per level over a sorted free-register array.
 
 The result is a :class:`FusedProgram`: the same per-level opcode segments
 as the trace, but with operand and output indices expressed in register
@@ -49,8 +52,6 @@ shares one set of renamed tables and one generated kernel.
 
 from __future__ import annotations
 
-import bisect
-import heapq
 import threading
 import weakref
 from dataclasses import dataclass, field
@@ -59,7 +60,14 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..netlist import cells
-from .trace import OpSegment, TraceProgram, _NUM_CONST_SLOTS
+from .isa import _OPCODES
+from .trace import (
+    _NUM_CONST_SLOTS,
+    _TWO_INPUT,
+    OpSegment,
+    TraceProgram,
+    _cut_levels,
+)
 
 __all__ = [
     "FusedLevel",
@@ -269,18 +277,12 @@ def _level_ops(level) -> List[str]:
     return ops
 
 
-def _free_runs(free_list: List[int]) -> List[Tuple[int, int]]:
-    """Maximal contiguous runs of a sorted free list, as (length, start)."""
-    runs: List[Tuple[int, int]] = []
-    prev = -2
-    for v in free_list:
-        if v == prev + 1:
-            length, start = runs[-1]
-            runs[-1] = (length + 1, start)
-        else:
-            runs.append((1, v))
-        prev = v
-    return runs
+def _free_runs(free: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Maximal contiguous runs of the sorted free registers ``free``, as
+    (position of each run's first register in ``free``, run length)."""
+    bounds = np.flatnonzero(free[1:] - free[:-1] != 1) + 1
+    starts = np.concatenate(([0], bounds)) if len(free) else bounds
+    return starts, np.concatenate((bounds, [len(free)])) - starts
 
 
 def _fuse_uncached(
@@ -295,83 +297,95 @@ def _fuse_uncached(
     live until the last read of *any* alias.  All other instructions keep
     their opcode-sorted segment structure with operands renamed through
     the alias roots.
+
+    Liveness runs on the whole program's instruction columns at once;
+    only the allocation itself walks the levels, one array step each.
     """
     levels = trace.levels
     num_levels = len(levels)
+    num_slots = trace.num_slots
     num_pinned = _NUM_CONST_SLOTS + len(trace.pi_slots)
-    ops_per_level = [_level_ops(level) for level in levels]
+
+    # The program's instructions in level order: level, op, operands,
+    # output slot.
+    sizes = np.array([lv.num_instructions for lv in levels], dtype=np.intp)
+    level_of = np.repeat(np.arange(num_levels), sizes)
+    seg_op, seg_len = [], []
+    for lv in levels:
+        for seg in lv.segments:
+            seg_op.append(_OPCODES[seg.op])
+            seg_len.append(seg.end - seg.start)
+    op = np.repeat(
+        np.array(seg_op, dtype=np.intp), np.array(seg_len, dtype=np.intp)
+    )
+    empty = np.empty(0, dtype=np.intp)
+    a = np.concatenate([lv.a_index for lv in levels] or [empty])
+    b = np.concatenate([lv.b_index for lv in levels] or [empty])
+    first = np.cumsum(sizes) - sizes
+    out = np.arange(len(op)) + np.repeat(
+        np.array([lv.out_start for lv in levels], dtype=np.intp) - first,
+        sizes,
+    )
 
     # Alias roots: BUF chains collapse onto the real producer (or a
-    # pinned constant/PI slot).  Levels only read earlier slots, so one
-    # forward pass resolves every chain.
-    root = np.arange(trace.num_slots, dtype=np.intp)
-    for level, ops in zip(levels, ops_per_level):
-        for i, op in enumerate(ops):
-            if op == cells.BUF:
-                root[level.out_start + i] = root[level.a_index[i]]
+    # pinned constant/PI slot); pointer jumping resolves every chain.
+    copy = op == _OPCODES[cells.BUF]
+    root = np.arange(num_slots)
+    root[out[copy]] = a[copy]
+    while True:
+        hop = root[root]
+        if np.array_equal(hop, root):
+            break
+        root = hop
 
     # Last level reading each *root* (-1: never read).  BUF reads do not
     # count (they are eliminated); port b only counts for two-input ops.
-    last_read = np.full(trace.num_slots, -1, dtype=np.int64)
-    for index, (level, ops) in enumerate(zip(levels, ops_per_level)):
-        for i, op in enumerate(ops):
-            if op == cells.BUF:
-                continue
-            last_read[root[level.a_index[i]]] = index
-            if cells.arity(op) == 2:
-                last_read[root[level.b_index[i]]] = index
+    kept = ~copy
+    two = kept & _TWO_INPUT[op]
+    read_root = np.concatenate((root[a[kept]], root[b[two]]))
+    read_level = np.concatenate((level_of[kept], level_of[two]))
+    order = np.lexsort((read_level, read_root))
+    last = np.ones(len(order), dtype=bool)
+    last[:-1] = read_root[order][1:] != read_root[order][:-1]
+    last_read = np.full(num_slots, -1, dtype=np.intp)
+    last_read[read_root[order][last]] = read_level[order][last]
 
-    protected = {int(root[slot]) for slot in trace.output_slots.values()}
+    protected = np.zeros(num_slots, dtype=bool)
+    protected[root[list(trace.output_slots.values())]] = True
 
-    # free_at[L]: register-owning slots whose register returns to the
-    # pool before level L allocates its outputs.  A root last read at
-    # level L frees *at* L (operands are gathered before results are
-    # written); a never-read root frees one level after its definition
-    # (two outputs of one level must occupy distinct registers).
-    # Primary-input registers free after their last read too — inputs are
-    # re-bound before every run, so once consumed their rows are ordinary
-    # reusable registers (only the two constants stay pinned: they feed
-    # single-input gather lanes throughout).
-    free_at: List[List[int]] = [[] for _ in range(num_levels + 1)]
-    for slot in range(_NUM_CONST_SLOTS, num_pinned):
-        if slot in protected:
-            continue
-        read = int(last_read[slot])
-        free_at[max(read, 0)].append(slot)
-    for index, (level, ops) in enumerate(zip(levels, ops_per_level)):
-        for i, op in enumerate(ops):
-            if op == cells.BUF:
-                continue
-            slot = level.out_start + i  # non-BUF slots are their own root
-            if slot in protected:
-                continue
-            read = int(last_read[slot])
-            free_at[read if read >= 0 else index + 1].append(slot)
+    # The level at whose start each register-owning slot's register
+    # returns to the pool.  A root last read at level L frees *at* L
+    # (operands are gathered before results are written); a never-read
+    # root frees one level after its definition (two outputs of one level
+    # must occupy distinct registers).  Primary-input registers free after
+    # their last read too — inputs are re-bound before every run, so once
+    # consumed their rows are ordinary reusable registers (only the two
+    # constants stay pinned: they feed single-input gather lanes
+    # throughout).
+    pis = np.arange(_NUM_CONST_SLOTS, num_pinned)
+    pis = pis[~protected[pis]]
+    owners = out[kept]
+    owned = ~protected[owners]
+    freeing = np.concatenate((pis, owners[owned]))
+    free_level = np.concatenate((
+        np.maximum(last_read[pis], 0),
+        np.where(
+            last_read[owners] >= 0,
+            last_read[owners],
+            level_of[kept] + 1,
+        )[owned],
+    ))
+    freeing = freeing[np.argsort(free_level, kind="stable")]
+    free_count = np.bincount(free_level, minlength=num_levels + 1)
+    free_bounds = np.concatenate(([0], np.cumsum(free_count))).tolist()
+    kept_count = np.bincount(level_of[kept], minlength=num_levels)
 
-    kept_per_level = [
-        [i for i, op in enumerate(ops) if op != cells.BUF]
-        for ops in ops_per_level
-    ]
-
-    # Pass 1 — per-register simulation: the tightest achievable file
-    # size under this free schedule (lowest free register always wins).
-    # It anchors the fragmentation budget of the real allocation below.
-    sim_reg: Dict[int, int] = {}
-    sim_free: List[int] = []
-    sim_next = num_pinned
-    for index, (level, kept) in enumerate(zip(levels, kept_per_level)):
-        for slot in free_at[index]:
-            heapq.heappush(
-                sim_free,
-                slot if slot < num_pinned else sim_reg[slot],
-            )
-        for i in kept:
-            if sim_free:
-                sim_reg[level.out_start + i] = heapq.heappop(sim_free)
-            else:
-                sim_reg[level.out_start + i] = sim_next
-                sim_next += 1
-    compact_size = sim_next
+    # Pass 1 — the tightest achievable file size under this free schedule
+    # (lowest free register always wins): after each level's frees and
+    # allocations, occupied registers = pinned + allocated - freed, and
+    # the file grows only when every register below its size is occupied.
+    occupied = np.cumsum(kept_count - free_count[:num_levels])
+    compact_size = num_pinned + max(0, int(occupied.max(initial=0)))
 
     # Pass 2 — bounded run-fit: every level *prefers* one contiguous
     # register run for its outputs (generated kernels then compute
@@ -387,105 +401,83 @@ def _fuse_uncached(
     if frag_budget is None:
         frag_budget = max(8, compact_size // 2)
     cap = compact_size + max(0, int(frag_budget))
-    reg_of = np.full(trace.num_slots, -1, dtype=np.intp)
+    reg_of = np.full(num_slots, -1, dtype=np.intp)
     reg_of[:num_pinned] = np.arange(num_pinned)
-    free_list: List[int] = []  # sorted free registers below next_reg
+    free = empty  # sorted free registers below next_reg
     next_reg = num_pinned
-
-    def alloc_run(k: int) -> Optional[int]:
-        nonlocal next_reg
-        # Maximal free runs, best-fit: tightest adequate run wins (ties
-        # broken low), leaving large holes intact for wider levels.
-        runs = _free_runs(free_list)
-        best = min(
-            ((length, s) for length, s in runs if length >= k),
-            default=None,
-        )
-        if best is not None:
-            lo = best[1]
-            i = bisect.bisect_left(free_list, lo)
-            del free_list[i:i + k]
-            return lo
-        # No interior run: free suffix adjacent to next_reg plus fresh
-        # registers, if that stays within the fragmentation budget.
-        lo = next_reg
-        i = len(free_list) - 1
-        while i >= 0 and free_list[i] == lo - 1:
-            lo -= 1
-            i -= 1
-        if max(next_reg, lo + k) > cap:
-            return None
-        del free_list[i + 1:]
-        next_reg = max(next_reg, lo + k)
-        return lo
-
-    def alloc_scattered(k: int) -> List[int]:
-        nonlocal next_reg
-        # Compose the level from the longest maximal free runs (ties
-        # broken low) instead of the k lowest singles: the same register
-        # count, but the outputs land in few long sub-runs the kernel
-        # can write with contiguous slice copies.  Chosen registers are
-        # assigned in ascending order, so instructions end up sorted by
-        # output register within the level.
-        if len(free_list) <= k:
-            regs = list(free_list)
-            free_list.clear()
-        else:
-            runs = sorted(_free_runs(free_list), key=lambda r: (-r[0], r[1]))
-            regs = []
-            for length, start in runs:
-                take = min(length, k - len(regs))
-                regs.extend(range(start, start + take))
-                if len(regs) == k:
-                    break
-            chosen = set(regs)
-            free_list[:] = [v for v in free_list if v not in chosen]
-        while len(regs) < k:
-            regs.append(next_reg)
-            next_reg += 1
-        regs.sort()
-        return regs
-
-    fused_levels: List[FusedLevel] = []
-    max_width = 0
-    for index, (level, ops) in enumerate(zip(levels, ops_per_level)):
-        for slot in free_at[index]:
-            bisect.insort(free_list, int(reg_of[slot]))
-        kept = kept_per_level[index]
-        if not kept:
+    out_reg = np.empty(len(owners), dtype=np.intp)
+    kept_bounds = np.concatenate(([0], np.cumsum(kept_count))).tolist()
+    for index in range(num_levels):
+        freed = freeing[free_bounds[index]:free_bounds[index + 1]]
+        if len(freed):
+            free = np.sort(np.concatenate((free, reg_of[freed])))
+        lo, hi = kept_bounds[index], kept_bounds[index + 1]
+        k = hi - lo
+        if not k:
             continue  # all-copy level: nothing left to execute
-        k = len(kept)
-        lo = alloc_run(k)
-        if lo is not None:
-            out_regs = list(range(lo, lo + k))
+        starts, lengths = _free_runs(free)
+        fits = lengths >= k
+        if fits.any():
+            # Maximal free runs, best-fit: tightest adequate run wins
+            # (ties broken low), leaving large holes intact for wider
+            # levels.
+            at = int(starts[np.argmin(np.where(fits, lengths, len(free) + 1))])
+            regs = free[at:at + k]
+            free = np.concatenate((free[:at], free[at + k:]))
         else:
-            out_regs = alloc_scattered(k)
-        a_index = np.empty(k, dtype=np.intp)
-        b_index = np.zeros(k, dtype=np.intp)
-        out_index = np.asarray(out_regs, dtype=np.intp)
-        segments: List[OpSegment] = []
-        for new_i, i in enumerate(kept):
-            op = ops[i]
-            a_index[new_i] = reg_of[root[level.a_index[i]]]
-            if cells.arity(op) == 2:
-                b_index[new_i] = reg_of[root[level.b_index[i]]]
-            reg_of[level.out_start + i] = out_regs[new_i]
-            if segments and segments[-1].op == op:
-                segments[-1] = OpSegment(op, segments[-1].start, new_i + 1)
+            # No interior run: free suffix adjacent to next_reg plus fresh
+            # registers, if that stays within the fragmentation budget.
+            tail = len(free)
+            if tail and free[-1] == next_reg - 1:
+                tail = int(starts[-1])
+            base = int(free[tail]) if tail < len(free) else next_reg
+            if base + k <= cap:
+                regs = np.arange(base, base + k)
+                free = free[:tail]
             else:
-                segments.append(OpSegment(op, new_i, new_i + 1))
-        for array in (a_index, b_index, out_index):
-            array.setflags(write=False)
-        max_width = max(max_width, k)
-        fused_levels.append(
-            FusedLevel(
-                cycle=level.cycle,
-                a_index=a_index,
-                b_index=b_index,
-                out_index=out_index,
-                segments=tuple(segments),
-            )
+                # Compose the level from the longest maximal free runs
+                # (ties broken low) instead of the k lowest singles: the
+                # same register count, but the outputs land in few long
+                # sub-runs the kernel can write with contiguous slice
+                # copies.  Chosen registers are assigned in ascending
+                # order, so instructions end up sorted by output register
+                # within the level.
+                rank = np.lexsort((starts, -lengths))
+                size = lengths[rank]
+                take = np.minimum(
+                    size, np.maximum(k - np.cumsum(size) + size, 0)
+                )
+                picked = np.arange(int(take.sum())) + np.repeat(
+                    starts[rank] - (np.cumsum(take) - take), take
+                )
+                regs = free[picked]
+                keep = np.ones(len(free), dtype=bool)
+                keep[picked] = False
+                free = free[keep]
+                regs = np.sort(np.concatenate(
+                    (regs, np.arange(next_reg, next_reg + k - len(regs)))
+                ))
+            next_reg = max(next_reg, int(regs[-1]) + 1)
+        out_reg[lo:hi] = regs
+        reg_of[owners[lo:hi]] = regs
+
+    # Operands renamed through the alias roots; single-input lanes read
+    # register 0.
+    a_reg = reg_of[root[a[kept]]]
+    b_reg = np.where(two[kept], reg_of[root[b[kept]]], 0)
+    kept_level = level_of[kept]
+    for array in (a_reg, b_reg, out_reg):
+        array.setflags(write=False)
+    fused_levels = [
+        FusedLevel(
+            cycle=levels[int(kept_level[start])].cycle,
+            a_index=a_reg[start:end],
+            b_index=b_reg[start:end],
+            out_index=out_reg[start:end],
+            segments=segments,
         )
+        for start, end, segments in _cut_levels(kept_level, op[kept])
+    ]
 
     output_regs = {
         name: int(reg_of[root[slot]])
@@ -497,5 +489,5 @@ def _fuse_uncached(
         pi_regs=dict(trace.pi_slots),
         levels=fused_levels,
         output_regs=output_regs,
-        max_level_width=max_width,
+        max_level_width=int(kept_count.max(initial=0)),
     )

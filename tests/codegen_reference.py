@@ -1,8 +1,10 @@
 # Reference oracle: the sequential instruction generator that
 # repro.compiler.codegen_parallel replaced, moved here from
-# repro.core.codegen with its logic unchanged.  tests/test_compiler_passes.py
-# checks that the served generator emits the identical program, queue for
-# queue and buffer event for buffer event.
+# repro.core.codegen with its logic unchanged; its instruction objects
+# become program columns through the per-instruction encoder of
+# tests/lowering_reference.py.  tests/test_compiler_passes.py checks that
+# the served generator emits the identical program, queue for queue and
+# buffer event for buffer event.
 """Sequential instruction-queue code generation (Fig. 1 box 2, Fig. 6).
 
 One pass over the scheduled MFGs in issue order, resolving every operand
@@ -39,6 +41,8 @@ from repro.core.mfg import MFG
 from repro.core.schedule import Schedule, ScheduledMFG, ScheduleError
 from repro.netlist import cells
 from repro.netlist.graph import LogicGraph
+
+from lowering_reference import encode_tables
 
 
 @dataclass
@@ -239,14 +243,13 @@ def generate_program(
     peak = _peak_buffer_words(
         buffer_write_cycle, buffer_reads_by_key, schedule.makespan
     )
-    return Program(
+    return Program.from_tables(
+        encode_tables(
+            queues, input_reads, circulation_reads, buffer_writes, m
+        ),
         config=config,
         graph=graph,
         schedule=schedule,
-        queues=queues,
-        input_reads=input_reads,
-        circulation_reads=circulation_reads,
-        buffer_writes=buffer_writes,
         po_nodes=po_nodes,
         po_buffer_keys=po_buffer_keys,
         peak_buffer_words=peak,

@@ -33,7 +33,8 @@ from repro.artifact.codec import (
     pack_container,
     unpack_container,
 )
-from repro.core import LPUConfig, compile_ffcl
+from repro.core import LPUConfig, codegen, compile_ffcl
+from repro.core.isa import SRC_CONST, SRC_INPUT, SRC_SWITCH, port_code
 from repro.engine import Session, available_engines
 from repro.lpu import evaluate_graph, random_stimulus
 from repro.netlist import random_dag
@@ -46,7 +47,7 @@ from repro.serve import (
 
 #: owner -> the fields it defers, as ``deferred()`` names them.
 PROGRAM_FIELDS = {"queues", "input_reads", "circulation_reads", "buffer_writes"}
-ALL_DEFERRED = PROGRAM_FIELDS | {"nodes", "levels", "slot_nodes"}
+ALL_DEFERRED = PROGRAM_FIELDS | {"tables", "nodes", "levels", "slot_nodes"}
 TABLE_ENGINES = ("fused", "native", "delta")
 STATISTICS = (
     "macro_cycles", "clock_cycles", "compute_instructions_executed",
@@ -58,7 +59,7 @@ SMALL = LPUConfig(num_lpvs=4, lpes_per_lpv=8)
 def deferred(artifact):
     """Names of the deferred fields no read has materialised yet."""
     owners = (
-        (artifact.program, PROGRAM_FIELDS),
+        (artifact.program, PROGRAM_FIELDS | {"tables"}),
         (artifact.program.graph, {"nodes"}),
         (artifact.trace, {"levels", "slot_nodes"}),
     )
@@ -121,7 +122,9 @@ class TestEveryGoldenProgram:
         loaded = ExecutableArtifact.from_bytes(data)
         assert deferred(loaded) == ALL_DEFERRED
         assert loaded.to_bytes() == data
-        assert deferred(loaded) == set()  # encoding reads everything
+        # encoding passes the program's columns through: it reads the
+        # node table and the trace levels, never the program's dict views
+        assert deferred(loaded) == PROGRAM_FIELDS
         # The model blocks draw from hash(layer.name): their recorded
         # bytes are those of PYTHONHASHSEED=0 (goldens.py checks them in
         # a child process); the seeded dags are the same draw anywhere.
@@ -167,7 +170,7 @@ class TestEveryGoldenProgram:
 
         loaded = ExecutableArtifact.from_bytes(data)
         summary = loaded.summary()
-        assert deferred(loaded) == set()
+        assert deferred(loaded) == PROGRAM_FIELDS  # counts read columns
         assert summary == result.to_artifact().summary()
 
         loaded = ExecutableArtifact.from_bytes(data)
@@ -175,6 +178,19 @@ class TestEveryGoldenProgram:
         got = evaluate_graph(loaded.graph, stimulus)
         assert "nodes" not in deferred(loaded)
         assert all(np.array_equal(got[po], want[po]) for po in want)
+
+
+def test_packaging_never_decodes_the_dict_views():
+    """Compile -> lower -> fuse -> encode runs on the program's columns:
+    the per-word dict views stay undecoded for compiled programs too."""
+    result = compile_ffcl(random_dag(6, 120, 3, seed=7), SMALL)
+    data = result.to_artifact(fanout=True).to_bytes()
+    assert result.metrics.compute_instructions > 0
+    assert not PROGRAM_FIELDS & set(vars(result.program))
+    assert isinstance(result.program, codegen.DeferredProgram)
+    loaded = ExecutableArtifact.from_bytes(data)
+    assert loaded.program.queues == result.program.queues
+    assert loaded.to_bytes() == data
 
 
 def test_probe_replay_and_optional_sections():
@@ -207,6 +223,7 @@ class TestDeferredObjectsBehaveAsMaterialised:
         lazy = ExecutableArtifact.from_bytes(data)
         eager = ExecutableArtifact.from_bytes(data)
         eager.to_bytes()
+        eager.program.queues  # encoding reads the columns, not the views
         assert deferred(lazy) == ALL_DEFERRED and deferred(eager) == set()
         assert lazy.program.queues == compiled.program.queues
         # LogicGraph compares by identity, loaded or not: share one.
@@ -332,9 +349,11 @@ class TestFirstTouchUnderThreads:
         [
             (lambda a: a.program.graph.nodes, "_decode_nodes"),
             (lambda a: a.program.queues, "_decode_tables"),
+            (lambda a: a.program.tables, "_checked_tables"),
             (lambda a: a.trace.levels, "_decode_levels"),
         ],
-        ids=["graph.nodes", "program.queues", "trace.levels"],
+        ids=["graph.nodes", "program.queues", "program.tables",
+             "trace.levels"],
     )
     def test_eight_threads_one_decode_one_object(
         self, corpus, monkeypatch, pick, decoder
@@ -397,6 +416,39 @@ def _header(path, value):
     return edit
 
 
+def _word(edit_word):
+    """Rewrite the first computing word whose port a reads the switch:
+    ``edit_word(word, m)``."""
+    def edit(header, arrays):
+        words = arrays["queue_words"]
+        row, col = np.argwhere(
+            ((words >> 14) & 0x3 == 0) & (words & 0xF != 0))[0]
+        m = header["config"]["lpes_per_lpv"]
+        words[row, col] = edit_word(int(words[row, col]), m)
+    return edit
+
+
+def _port_a(port):
+    """``edit_word`` that sets port a to ``port(m)``."""
+    return lambda word, m: (word & ~(0x7FF << 5)) | (port(m) << 5)
+
+
+def _input_read_of_a_gate(header, arrays):
+    ops = header["graph"]["ops"]
+    gates = [ops.index(op) for op in ops if op in ("and", "or", "xor")]
+    gate = arrays["graph_ids"][np.isin(arrays["graph_ops"], gates)][0]
+    arrays["input_reads"][0, 3] = gate
+
+
+def _narrow_queues(header, arrays):
+    for name in ("queue_words", "queue_nodes"):
+        arrays[name] = arrays[name][:, :-1]
+
+
+def _columns(artifact):
+    return artifact.program.tables
+
+
 #: (edit, the read that must raise — None when the load itself must)
 BAD_SECTIONS = {
     "graph op out of range": (
@@ -415,10 +467,44 @@ BAD_SECTIONS = {
         lambda header, arrays: arrays.__setitem__(
             "queue_words", arrays["queue_words"].astype(np.int64) - 1),
         lambda a: a.program.input_reads),
+    "valid bit on a nop": (_set("queue_words", (0, 0), 0x10), _columns),
+    "op without the valid bit": (_set("queue_words", (0, 0), 0x3), _columns),
+    "reserved bits set": (_word(lambda word, m: word | 1 << 27), _columns),
+    "switch column out of range": (
+        _word(_port_a(lambda m: port_code(SRC_SWITCH, m))), _columns),
+    "input slot out of range": (
+        _word(_port_a(lambda m: port_code(SRC_INPUT, 2 * m))), _columns),
+    "const index out of range": (
+        _word(_port_a(lambda m: port_code(SRC_CONST, 0) | 2)), _columns),
     "queue columns disagree": (
         _truncate("queue_addr"), lambda a: a.program.buffer_writes),
+    "queue width is not m": (_narrow_queues, _columns),
+    "queue lpv out of range": (
+        lambda header, arrays: arrays["queue_lpv"].__setitem__(
+            -1, header["config"]["num_lpvs"]),
+        _columns),
+    "queue rows repeated": (
+        lambda header, arrays: [
+            arrays.__setitem__(name, np.repeat(arrays[name], 2, axis=0))
+            for name in ("queue_lpv", "queue_addr", "queue_words",
+                         "queue_nodes")
+        ],
+        _columns),
     "traffic port out of range": (
         _set("input_reads", (0, 2), 7), lambda a: a.program.input_reads),
+    "traffic column out of range": (
+        lambda header, arrays: arrays["buffer_writes"].__setitem__(
+            (0, 4), header["config"]["lpes_per_lpv"]),
+        _columns),
+    "traffic row outside the schedule": (
+        lambda header, arrays: arrays["buffer_writes"].__setitem__(
+            (0, 0), header["schedule"]["makespan"]),
+        _columns),
+    "traffic table not a table": (
+        lambda header, arrays: arrays.__setitem__(
+            "circulation_reads", arrays["circulation_reads"].reshape(-1)),
+        _columns),
+    "input read of a gate": (_input_read_of_a_gate, _columns),
     "fused segment op out of range": (
         _set("fused_segments", (0, 0), 99), None),
     "trace segment op out of range": (
@@ -451,6 +537,24 @@ class TestInconsistentSectionsAreArtifactErrors:
             loaded.to_bytes()
         with pytest.raises(ArtifactError):
             pickle.dumps(loaded)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [_word(_port_a(lambda m: port_code(SRC_SWITCH, 200))),
+         _input_read_of_a_gate],
+        ids=["switch column 200", "input read of a gate"],
+    )
+    @pytest.mark.parametrize("engine", ["cycle", "trace"])
+    def test_out_of_range_fields_never_reach_an_engine(self, edit, engine):
+        """Fields no engine can index with are refused at load, as a
+        typed ArtifactError, before any engine (cycle or trace) runs."""
+        graph = random_dag(6, 120, 3, seed=7)
+        data = compile_ffcl(graph, LPUConfig(8, 16)).to_artifact(
+            lower=False).to_bytes()
+        crafted = rewritten(data, edit)
+        with pytest.raises(ArtifactError, match="undecodable artifact"):
+            Session(ExecutableArtifact.from_bytes(crafted), engine=engine).run(
+                random_stimulus(graph, array_size=1, seed=7))
 
     def test_sound_sections_of_a_bad_artifact_still_decode(self, data):
         loaded = ExecutableArtifact.from_bytes(

@@ -21,6 +21,7 @@ import subprocess
 import sys
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -158,6 +159,8 @@ def assert_programs_identical(a, b):
     if a is None or b is None:
         assert a is b
         return
+    for name, x, y in zip(a.tables._fields, a.tables, b.tables):
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
     assert a.queues == b.queues
     assert a.input_reads == b.input_reads
     assert a.circulation_reads == b.circulation_reads

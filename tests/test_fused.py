@@ -608,9 +608,14 @@ class TestRunComposedAllocation:
     def test_free_runs_groups_contiguous_registers(self):
         from repro.core.liveness import _free_runs
 
-        assert _free_runs([]) == []
-        assert _free_runs([4]) == [(1, 4)]
-        assert _free_runs([2, 3, 4, 7, 9, 10]) == [(3, 2), (1, 7), (2, 9)]
+        def runs(free):
+            free = np.asarray(free, dtype=np.intp)
+            starts, lengths = _free_runs(free)
+            return list(zip(lengths.tolist(), free[starts].tolist()))
+
+        assert runs([]) == []
+        assert runs([4]) == [(1, 4)]
+        assert runs([2, 3, 4, 7, 9, 10]) == [(3, 2), (1, 7), (2, 9)]
 
     def test_out_index_ascending_even_when_fragmented(self):
         res, tight = self._tight_fusion()
