@@ -34,18 +34,12 @@ import json
 import zipfile
 import zlib
 from dataclasses import fields, is_dataclass
-from functools import lru_cache, partial
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.codegen import (
-    TABLE_VIEWS,
-    DeferredProgram,
-    Program,
-    ProgramTables,
-    _decode_tables,
-)
+from ..core.codegen import DeferredProgram, Program, ProgramTables
 from ..core.config import LPUConfig
 from ..core.fanout import FanoutTables
 from ..core.isa import malformed_words
@@ -400,29 +394,22 @@ def decode_program(
         queue_depth=int(sched["queue_depth"]),
     )
     graph = decode_graph(dict(header["graph"]), arrays)
-    # Checked once, on the first read of the columns or of their views.
-    tables = lru_cache(maxsize=None)(partial(
-        decoded,
-        _checked_tables,
-        ProgramTables(*(arrays[name] for name in ProgramTables._fields)),
-        config,
-        schedule.makespan,
-        graph.inputs,
-        partial(
-            _constant_ids,
-            list(header["graph"]["ops"]),
-            arrays["graph_ids"],
-            arrays["graph_ops"],
-        ),
-    ))
     return DeferredProgram.deferring(
-        {
-            ("tables",): lambda: {"tables": tables()},
-            # Views imply their columns: decoding them stores both.
-            TABLE_VIEWS: lambda: {
-                **_decode_tables(tables()), "tables": tables(),
-            },
-        },
+        ("tables",),
+        partial(
+            decoded,
+            _checked_tables,
+            ProgramTables(*(arrays[name] for name in ProgramTables._fields)),
+            config,
+            schedule.makespan,
+            graph.inputs,
+            partial(
+                _constant_ids,
+                list(header["graph"]["ops"]),
+                arrays["graph_ids"],
+                arrays["graph_ops"],
+            ),
+        ),
         config=config,
         graph=graph,
         schedule=schedule,
@@ -450,9 +437,10 @@ def _constant_ids(
 def _checked_tables(
     tables: ProgramTables, config: LPUConfig, makespan: int,
     pis: List[int], constant_ids,
-) -> ProgramTables:
-    """``tables`` once every row is one the engines can execute: words
-    an ``m``-wide LPV can run, rows inside the machine and the schedule,
+) -> Dict[str, ProgramTables]:
+    """The deferred field of :func:`decode_program`: ``{"tables":
+    tables}`` once every row is one the engines can execute: words an
+    ``m``-wide LPV can run, rows inside the machine and the schedule,
     the encoder's ascending row order with unique keys, input reads of
     PIs and (``constant_ids()``) constants.  The lowering indexes arrays
     with these fields."""
@@ -489,6 +477,8 @@ def _checked_tables(
             )
         ):
             raise ArtifactDecodeError("table row out of range")
+    if not (addr >= 0).all():
+        raise ArtifactDecodeError("negative queue address")
     ascending = (
         (lpv[1:] > lpv[:-1])
         | ((lpv[1:] == lpv[:-1]) & (addr[1:] > addr[:-1])),
@@ -503,7 +493,7 @@ def _checked_tables(
     sources = np.concatenate((pis, constant_ids())).astype(np.int64)
     if not np.isin(reads[:, 3], sources).all():
         raise ArtifactDecodeError("input read of a node that is no source")
-    return tables
+    return {"tables": tables}
 
 
 # ----------------------------------------------------------------------
@@ -582,14 +572,13 @@ def decode_trace(
     and statistics here, the per-level tables and the slot→node map on
     their first read (a failure there is an :class:`ArtifactError`)."""
     return DeferredTraceProgram.deferring(
-        {
-            ("levels", "slot_nodes"): partial(
-                decoded,
-                _decode_levels,
-                list(header["ops"]),
-                *(arrays[n] for n in _TRACE_TABLES),
-            ),
-        },
+        ("levels", "slot_nodes"),
+        partial(
+            decoded,
+            _decode_levels,
+            list(header["ops"]),
+            *(arrays[n] for n in _TRACE_TABLES),
+        ),
         program=program,
         num_slots=int(header["num_slots"]),
         # Rebuild in slot order (the JSON header sorts by name): fusing

@@ -23,7 +23,6 @@ import threading
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
-from ..netlist import cells
 from ..netlist.graph import LogicGraph
 
 __all__ = [
@@ -33,10 +32,6 @@ __all__ = [
     "chain_fingerprint",
     "graph_fingerprint",
 ]
-
-
-#: op -> its ``repr``, as the fingerprint rows spell it.
-_QUOTED = {op: repr(op) for op in cells.ALL_OPS}
 
 
 def graph_fingerprint(graph: LogicGraph) -> str:
@@ -49,34 +44,18 @@ def graph_fingerprint(graph: LogicGraph) -> str:
 
     The hash covers one row per node, ``repr((i, op, fanins))`` with
     renumbered ids, then a ``repr`` row per PI and PO.  Node rows are
-    formatted directly — ids as decimal strings, ops as their ``repr`` —
-    to the same text.
+    formatted directly to that text.
     """
     order = graph.topological_order()
-    # Renumbered ids as text: a list when the ids are already 0..n-1.
-    label = list(map(str, range(len(order))))
-    if order and (order[0], order[-1]) != (0, len(order) - 1):
-        label = dict(zip(order, label))
+    label = dict(zip(order, map(str, range(len(order)))))
     nodes = graph.nodes
     rows = []
-    append = rows.append
     for nid in order:
         node = nodes[nid]
-        fanins = node.fanins
-        if len(fanins) == 2:
-            append(
-                f"({label[nid]}, {_QUOTED[node.op]}, "
-                f"({label[fanins[0]]}, {label[fanins[1]]}))"
-            )
-        elif len(fanins) == 1:
-            append(
-                f"({label[nid]}, {_QUOTED[node.op]}, ({label[fanins[0]]},))"
-            )
-        else:
-            append(
-                f"({label[nid]}, {_QUOTED[node.op]}, "
-                f"({', '.join(label[f] for f in fanins)}))"
-            )
+        fanins = ", ".join([label[f] for f in node.fanins])
+        if len(node.fanins) == 1:
+            fanins += ","
+        rows.append(f"({label[nid]}, {node.op!r}, ({fanins}))")
     for nid in graph.inputs:
         rows.append(repr(("pi", graph.input_name(nid), int(label[nid]))))
     for name, nid in graph.outputs:

@@ -528,11 +528,11 @@ def generate_program_parallel(
     peak = _peak_buffer_words(
         buffer_write_cycle, buffer_reads_by_key, schedule.makespan
     )
-    return Program.from_tables(
-        tables,
+    return Program(
         config=config,
         graph=graph,
         schedule=schedule,
+        tables=tables,
         po_nodes=po_nodes,
         po_buffer_keys=po_buffer_keys,
         peak_buffer_words=peak,

@@ -44,8 +44,8 @@ Dataflow rules the generator implements:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import partial
+import threading
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, NamedTuple, Set, Tuple
 
 import numpy as np
@@ -91,13 +91,30 @@ class ProgramTables(NamedTuple):
     buffer_writes: np.ndarray
 
 
-#: the fields of :class:`Program` that are dict views of its tables.
-TABLE_VIEWS = ("queues", "input_reads", "circulation_reads", "buffer_writes")
-
 _PORT_NAMES = (PORT_A, PORT_B)
 
+_VIEWS_LOCK = threading.Lock()
 
-@dataclass
+
+class _TableView:
+    """A dict view of :attr:`Program.tables`.  The first read of any view
+    decodes all four — once, however many threads read at the same
+    moment — into plain instance attributes, which every later read
+    finds without this descriptor."""
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, program, owner=None):
+        if program is None:
+            return self
+        with _VIEWS_LOCK:
+            if self.name not in vars(program):
+                vars(program).update(_decode_tables(program.tables))
+        return vars(program)[self.name]
+
+
+@dataclass(eq=False)
 class Program:
     """Everything the LPU needs to execute one FFCL block.
 
@@ -106,30 +123,16 @@ class Program:
     the encoder read them whole.  :attr:`queues`, :attr:`input_reads`,
     :attr:`circulation_reads` and :attr:`buffer_writes` are per-word dict
     views of those columns for the cycle-accurate model and for
-    inspection; every program — compiled (built by :meth:`from_tables`)
-    or loaded — decodes them on their first read.  A loaded program also
-    checks its :attr:`tables` on their first read.
+    inspection: they are no constructor fields, and every program decodes
+    them from its own :attr:`tables` on their first read.  A loaded
+    program (:class:`DeferredProgram`) also checks its :attr:`tables` on
+    their first read.
     """
 
     config: LPUConfig
     graph: LogicGraph
     schedule: Schedule
-    tables: ProgramTables = field(compare=False, repr=False)
-    #: lpv -> normalized queue address -> instruction vector (length m).
-    queues: Dict[int, Dict[int, List[LPEInstruction]]]
-    #: macro-cycle -> {(column, port): source node id} — LPV 0 reads of
-    #: PI/constant values from the input data buffer.
-    input_reads: Dict[int, Dict[Tuple[int, str], int]]
-    #: (macro-cycle, lpv) -> {(column, port): buffer key} — reads of
-    #: circulated values from the output data buffer.  LPV 0 entries are the
-    #: paper's depth-issue circulation; entries at other LPVs are snapshot-
-    #: pressure spills (see DESIGN.md, "buffer spill" modeling extension).
-    #: Buffer keys are (producer MFG uid, node id): overlapping MFGs compute
-    #: the same node at different times, so entries carry their producer.
-    circulation_reads: Dict[Tuple[int, int], Dict[Tuple[int, str], Tuple[int, int]]]
-    #: macro-cycle -> [(buffer key, lpv, column)] — values captured into the
-    #: output data buffer after that macro-cycle's compute phase.
-    buffer_writes: Dict[int, List[Tuple[Tuple[int, int], int, int]]]
+    tables: ProgramTables = field(repr=False)
     #: PO name -> node id whose final value is the output.
     po_nodes: Dict[str, int]
     #: PO name -> buffer key holding its value (absent for source POs).
@@ -140,14 +143,33 @@ class Program:
     #: in the output data buffer instead (0 when m is sized sensibly).
     buffer_spills: int = 0
 
-    @classmethod
-    def from_tables(cls, tables: ProgramTables, **fields) -> "Program":
-        """The program whose columns are ``tables`` (``fields`` are the
-        remaining fields); its dict views decode on their first read."""
-        return DeferredProgram.deferring(
-            {TABLE_VIEWS: partial(_decode_tables, tables)},
-            tables=tables,
-            **fields,
+    #: lpv -> normalized queue address -> instruction vector (length m).
+    queues = _TableView()
+    #: macro-cycle -> {(column, port): source node id} — LPV 0 reads of
+    #: PI/constant values from the input data buffer.
+    input_reads = _TableView()
+    #: (macro-cycle, lpv) -> {(column, port): buffer key} — reads of
+    #: circulated values from the output data buffer.  LPV 0 entries are the
+    #: paper's depth-issue circulation; entries at other LPVs are snapshot-
+    #: pressure spills (see DESIGN.md, "buffer spill" modeling extension).
+    #: Buffer keys are (producer MFG uid, node id): overlapping MFGs compute
+    #: the same node at different times, so entries carry their producer.
+    circulation_reads = _TableView()
+    #: macro-cycle -> [(buffer key, lpv, column)] — values captured into the
+    #: output data buffer after that macro-cycle's compute phase.
+    buffer_writes = _TableView()
+
+    def __eq__(self, other) -> bool:
+        """Field by field; the columns by dtype, shape and value."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(
+            getattr(self, f.name) == getattr(other, f.name)
+            for f in fields(self)
+            if f.name != "tables"
+        ) and all(
+            mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+            for mine, theirs in zip(self.tables, other.tables)
         )
 
     @property
@@ -169,7 +191,7 @@ class Program:
 
 
 class DeferredProgram(DeferredFields, Program):
-    """A :class:`Program` that has not decoded its dict views yet."""
+    """A :class:`Program` that has not loaded its :attr:`tables` yet."""
 
 
 def _decode_tables(tables: ProgramTables) -> Dict[str, object]:

@@ -48,14 +48,13 @@ class DeferredFields:
     (``class DeferredLogicGraph(DeferredFields, LogicGraph)``), so that
     class itself — and every instance built the ordinary way — keeps
     plain attribute look-up.  :meth:`deferring` builds an instance that
-    lacks some attributes and names, per group of them, the ``load``
-    that produces the group.  Python calls :meth:`__getattr__` only when
-    ordinary look-up misses, so the first read of a deferred name runs
-    its group's ``load()`` — once, under a lock, however many threads
-    read at the same moment — and stores the ``{name: value}`` it
-    returns as plain instance attributes; once no group is left the
-    instance turns into one of the plain class: every later read is an
-    ordinary look-up.  A ``load`` that raises leaves its attributes
+    lacks some attributes and names the ``load`` that produces them.
+    Python calls :meth:`__getattr__` only when ordinary look-up misses,
+    so the first read of a deferred name runs ``load()`` — once, under a
+    lock, however many threads read at the same moment — stores the
+    ``{name: value}`` it returns as plain instance attributes and turns
+    the instance into one of the plain class: every later read is an
+    ordinary look-up.  A ``load`` that raises leaves the attributes
     deferred, so the next read raises again instead of seeing half-built
     state.
 
@@ -66,39 +65,26 @@ class DeferredFields:
     @classmethod
     def deferring(
         cls,
-        loads: Dict[Tuple[str, ...], Callable[[], Dict[str, object]]],
+        names: Iterable[str],
+        load: Callable[[], Dict[str, object]],
         **attributes,
     ):
         """An instance that holds ``attributes`` (no ``__init__`` runs)
-        and takes each group of ``names`` in ``{names: load}`` from its
-        ``load()`` on the first read of one of them.  Every name a
-        ``load`` returns stops being deferred."""
+        and takes ``names`` from ``load()`` on their first read."""
         instance = cls.__new__(cls)
-        pending = {
-            name: load for names, load in loads.items() for name in names
-        }
         instance.__dict__.update(
-            attributes, _deferred=(pending, threading.Lock())
+            attributes, _deferred=(frozenset(names), load, threading.Lock())
         )
         return instance
 
-    def _materialize(self, name: Optional[str] = None) -> None:
-        """Load ``name``'s group, or every group left."""
+    def _materialize(self) -> None:
         deferred = self.__dict__.get("_deferred")
         if deferred is None:
             return
-        pending, lock = deferred
-        with lock:  # a group another thread loaded first is gone
-            for load in {
-                id(load): load
-                for deferred_name, load in pending.items()
-                if name in (None, deferred_name)
-            }.values():
-                values = load()
-                self.__dict__.update(values)
-                for loaded in values:
-                    pending.pop(loaded, None)
-            if not pending and "_deferred" in self.__dict__:
+        _, load, lock = deferred
+        with lock:
+            if "_deferred" in self.__dict__:  # no other thread got here first
+                self.__dict__.update(load())
                 # DeferredX(DeferredFields, X) becomes an X — before the
                 # marker goes, so whoever finds no marker finds an X.
                 self.__class__ = type(self).__bases__[1]
@@ -108,7 +94,7 @@ class DeferredFields:
         attributes = self.__dict__
         deferred = attributes.get("_deferred")
         if deferred is not None and name in deferred[0]:
-            self._materialize(name)
+            self._materialize()
         try:
             # Also the answer when another thread finished the load
             # between the look-up that missed and this call.
@@ -169,7 +155,8 @@ class LogicGraph:
         input_names = dict(inputs)
         outputs = list(outputs)
         return DeferredLogicGraph.deferring(
-            {("nodes",): lambda: {"nodes": load_nodes()}},
+            ("nodes",),
+            lambda: {"nodes": load_nodes()},
             name=name,
             _next_id=next_id,
             _inputs={nid: pi for pi, nid in input_names.items()},

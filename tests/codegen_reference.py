@@ -243,13 +243,13 @@ def generate_program(
     peak = _peak_buffer_words(
         buffer_write_cycle, buffer_reads_by_key, schedule.makespan
     )
-    return Program.from_tables(
-        encode_tables(
-            queues, input_reads, circulation_reads, buffer_writes, m
-        ),
+    return Program(
         config=config,
         graph=graph,
         schedule=schedule,
+        tables=encode_tables(
+            queues, input_reads, circulation_reads, buffer_writes, m
+        ),
         po_nodes=po_nodes,
         po_buffer_keys=po_buffer_keys,
         peak_buffer_words=peak,

@@ -2,11 +2,12 @@
 
 ``ExecutableArtifact.from_bytes`` proves the container (ZIP CRCs, format
 version, the content fingerprint over every byte) and decodes the
-sections a boot runs.  The program's instruction queues and buffer
-traffic, the graph's node table and the trace's per-level tables are
-:class:`~repro.netlist.graph.DeferredFields`: they decode on their first
-read, once, and a failure there is the same typed ``ArtifactError`` a
-failure at load is.  Every program of ``front_end_goldens.json`` is the
+sections a boot runs.  The program's instruction and traffic columns,
+the graph's node table and the trace's per-level tables are
+:class:`~repro.netlist.graph.DeferredFields`: they are checked and
+decoded on their first read, once, and a failure there is the same
+typed ``ArtifactError`` a failure at load is.  The program's dict views
+decode from its columns on their first read, like any program's.  Every program of ``front_end_goldens.json`` is the
 corpus.
 """
 
@@ -187,7 +188,7 @@ def test_packaging_never_decodes_the_dict_views():
     data = result.to_artifact(fanout=True).to_bytes()
     assert result.metrics.compute_instructions > 0
     assert not PROGRAM_FIELDS & set(vars(result.program))
-    assert isinstance(result.program, codegen.DeferredProgram)
+    assert type(result.program) is codegen.Program
     loaded = ExecutableArtifact.from_bytes(data)
     assert loaded.program.queues == result.program.queues
     assert loaded.to_bytes() == data
@@ -286,7 +287,15 @@ class TestDeferredObjectsBehaveAsMaterialised:
         program = ExecutableArtifact.from_bytes(data).program
         spilled = dataclasses.replace(program, buffer_spills=3)
         assert spilled.buffer_spills == 3
-        assert spilled.queues is program.queues
+        assert spilled.tables is program.tables
+        assert spilled.queues == program.queues  # views follow the tables
+        with pytest.raises(TypeError):  # ... and are no fields of their own
+            dataclasses.replace(program, queues={})
+        moved = program.tables.queue_addr + 1
+        shifted = dataclasses.replace(
+            program, tables=program.tables._replace(queue_addr=moved))
+        assert shifted != program and shifted == dataclasses.replace(shifted)
+        assert set(shifted.queues[0]) == {a + 1 for a in program.queues[0]}
         assert "_deferred" not in vars(spilled)
 
     def test_materialised_is_exactly_the_plain_class(self, data):
@@ -345,27 +354,27 @@ class TestDeferredObjectsBehaveAsMaterialised:
 
 class TestFirstTouchUnderThreads:
     @pytest.mark.parametrize(
-        "pick, decoder",
+        "pick, module, decoder",
         [
-            (lambda a: a.program.graph.nodes, "_decode_nodes"),
-            (lambda a: a.program.queues, "_decode_tables"),
-            (lambda a: a.program.tables, "_checked_tables"),
-            (lambda a: a.trace.levels, "_decode_levels"),
+            (lambda a: a.program.graph.nodes, codec, "_decode_nodes"),
+            (lambda a: a.program.queues, codegen, "_decode_tables"),
+            (lambda a: a.program.tables, codec, "_checked_tables"),
+            (lambda a: a.trace.levels, codec, "_decode_levels"),
         ],
         ids=["graph.nodes", "program.queues", "program.tables",
              "trace.levels"],
     )
     def test_eight_threads_one_decode_one_object(
-        self, corpus, monkeypatch, pick, decoder
+        self, corpus, monkeypatch, pick, module, decoder
     ):
         calls = []
-        real = getattr(codec, decoder)
+        real = getattr(module, decoder)
 
         def counting(*args):
             calls.append(threading.get_ident())
             return real(*args)
 
-        monkeypatch.setattr(codec, decoder, counting)
+        monkeypatch.setattr(module, decoder, counting)
         loaded = ExecutableArtifact.from_bytes(corpus["dag_dead_heavy"][1])
         barrier = threading.Barrier(8)
         seen, errors = [], []
@@ -483,6 +492,7 @@ BAD_SECTIONS = {
         lambda header, arrays: arrays["queue_lpv"].__setitem__(
             -1, header["config"]["num_lpvs"]),
         _columns),
+    "queue address negative": (_set("queue_addr", 0, -1), _columns),
     "queue rows repeated": (
         lambda header, arrays: [
             arrays.__setitem__(name, np.repeat(arrays[name], 2, axis=0))

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from repro.core import LPUConfig, compile_ffcl
-from repro.core.codegen import TABLE_VIEWS, Program
 from repro.core.isa import (
     NOP_WORD,
     LPEInstruction,
@@ -44,12 +43,9 @@ def compiled(seed=0, n=4, m=4):
 
 def corrupted(program, **columns):
     """A fresh program: ``program`` with some columns replaced."""
-    fields = {
-        field.name: getattr(program, field.name)
-        for field in dataclasses.fields(Program)
-        if field.name not in TABLE_VIEWS + ("tables",)
-    }
-    return Program.from_tables(program.tables._replace(**columns), **fields)
+    return dataclasses.replace(
+        program, tables=program.tables._replace(**columns)
+    )
 
 
 def with_word(program, row, col, instr):

@@ -32,7 +32,7 @@ from lowering_reference import (
 from repro.artifact import ExecutableArtifact
 from repro.compiler import graph_fingerprint
 from repro.core import LPUConfig, compile_ffcl
-from repro.core.codegen import TABLE_VIEWS, Program, ProgramTables
+from repro.core.codegen import Program, ProgramTables
 from repro.core.isa import (
     NOP,
     LPEInstruction,
@@ -135,26 +135,37 @@ def test_front_end_golden_graphs(name):
     assert_oracles_agree(graph, **kwargs)
 
 
+#: family -> (LPEs per LPV, most gates, localities).  Deep draws on
+#: machines of 2-3 LPEs can compile for minutes, so those get shallow
+#: random-wired graphs.
+MACHINES = {
+    "wide": ((4, 5, 8), 160, (0, 0, 4)),
+    "small": ((2, 3), 40, (0,)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(MACHINES))
 @settings(max_examples=25, deadline=None)
-@given(
-    seed=st.integers(0, 10_000),
-    gates=st.integers(1, 160),
-    inputs=st.integers(1, 8),
-    outputs=st.integers(1, 5),
-    locality=st.sampled_from([0, 0, 4]),
-    n=st.integers(2, 6),
-    # (m < 4 lets some deep draws compile for minutes)
-    m=st.sampled_from([4, 5, 8]),
-    merge=st.booleans(),
-    policy=st.sampled_from(["pipelined", "sequential"]),
-    optimize=st.booleans(),
-)
-def test_random_programs(seed, gates, inputs, outputs, locality, n, m,
-                         merge, policy, optimize):
-    graph = random_dag(inputs, gates, outputs, seed=seed, locality=locality)
+@given(data=st.data())
+def test_random_programs(family, data):
+    lpes, most_gates, localities = MACHINES[family]
+    graph = random_dag(
+        data.draw(st.integers(1, 8), label="inputs"),
+        data.draw(st.integers(1, most_gates), label="gates"),
+        data.draw(st.integers(1, 5), label="outputs"),
+        seed=data.draw(st.integers(0, 10_000), label="seed"),
+        locality=data.draw(st.sampled_from(localities), label="locality"),
+    )
+    config = LPUConfig(
+        num_lpvs=data.draw(st.integers(2, 6), label="n"),
+        lpes_per_lpv=data.draw(st.sampled_from(lpes), label="m"),
+    )
     assert_oracles_agree(
-        graph, LPUConfig(num_lpvs=n, lpes_per_lpv=m),
-        merge=merge, policy=policy, optimize=optimize,
+        graph, config,
+        merge=data.draw(st.booleans(), label="merge"),
+        policy=data.draw(
+            st.sampled_from(["pipelined", "sequential"]), label="policy"),
+        optimize=data.draw(st.booleans(), label="optimize"),
     )
 
 
@@ -255,8 +266,8 @@ def test_snapshot_relatch_carries_the_register():
         circulation_reads=np.empty((0, 6), dtype=np.int64),
         buffer_writes=np.array([[3, 0, y, 1, 0]], dtype=np.int64),
     )
-    program = Program.from_tables(
-        tables, config=config, graph=graph,
+    program = Program(
+        config=config, graph=graph, tables=tables,
         schedule=RuntimeSchedule(config=config, makespan=4),
         po_nodes={"y": y}, po_buffer_keys={"y": (0, y)},
         peak_buffer_words=1,
@@ -317,16 +328,8 @@ def test_corrupted_programs_fail_like_the_oracle(data, seed, merge):
     if len(writes) and data.draw(st.booleans()):
         writes[data.draw(st.integers(0, len(writes) - 1)), 4] = data.draw(
             st.integers(0, config.m - 1))
-    fields = {
-        field.name: getattr(program, field.name)
-        for field in dataclasses.fields(Program)
-        if field.name not in TABLE_VIEWS + ("tables",)
-    }
-    bad = Program.from_tables(
-        tables._replace(queue_words=words, queue_nodes=nodes,
-                        buffer_writes=writes),
-        **fields,
-    )
+    bad = dataclasses.replace(program, tables=tables._replace(
+        queue_words=words, queue_nodes=nodes, buffer_writes=writes))
     try:
         want = lower_reference(bad)
     except TraceLoweringError as exc:
