@@ -37,13 +37,11 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .codec import (
-    ArtifactDecodeError,
     content_fingerprint,
     decode_probes,
     decoded,
     encode_probes,
     pack_container,
-    unpack_container,
 )
 from .format import (
     BUNDLE_FORMAT_VERSION,
@@ -51,8 +49,7 @@ from .format import (
     ArtifactError,
     ExecutableArtifact,
     ProbeSet,
-    _version_error,
-    reader_versions,
+    _open_container,
     register_reader,
 )
 
@@ -369,29 +366,14 @@ class ArtifactBundle:
     @classmethod
     def from_bytes(cls, data: bytes) -> "ArtifactBundle":
         """Deserialize, verifying version, fingerprint, and manifest."""
-        try:
-            header, arrays = unpack_container(data)
-        except ArtifactDecodeError as exc:
-            raise ArtifactError(str(exc)) from exc
-        if header.get("magic") != FORMAT_MAGIC:
-            raise ArtifactError(
-                "not a repro executable artifact (bad magic)"
-            )
-        version = header.get("format_version")
-        if version != BUNDLE_FORMAT_VERSION:
-            if version in reader_versions():
-                raise ArtifactError(
-                    f"artifact is a format v{version} container, not a "
-                    f"bundle; load it through repro.artifact.load_artifact()"
-                )
-            raise _version_error(version)
-        expected = header.get("fingerprint")
-        actual = content_fingerprint(header, arrays)
-        if expected != actual:
-            raise ArtifactError(
-                "artifact fingerprint mismatch: the container is corrupt "
-                f"(header says {expected!r}, content hashes to {actual!r})"
-            )
+        return cls.from_container(
+            *_open_container(data, BUNDLE_FORMAT_VERSION)
+        )
+
+    @classmethod
+    def from_container(cls, header, arrays) -> "ArtifactBundle":
+        """Decode an opened, verified format-v2 container, checking its
+        manifest against the decoded members."""
         members, links, probes = decoded(cls._decode_manifest, header, arrays)
         bundle = cls(
             members=members,
@@ -399,7 +381,7 @@ class ArtifactBundle:
             name=str(header.get("name", "bundle")),
             probes=probes,
             producer=str(header.get("producer", "")),
-            fingerprint=str(expected),
+            fingerprint=str(header.get("fingerprint")),
         )
         # Re-derive the wiring against the decoded graphs: a manifest
         # that names signals its members do not have is corrupt even
@@ -564,4 +546,4 @@ def bundle_model(
 
 
 # The format-v2 reader: the bundle container.
-register_reader(BUNDLE_FORMAT_VERSION, ArtifactBundle.from_bytes)
+register_reader(BUNDLE_FORMAT_VERSION, ArtifactBundle.from_container)

@@ -31,10 +31,11 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..core import registry
 from ..core.codegen import Program
-from ..core.fanout import FanoutTables, adopt_fanout, build_fanout
-from ..core.liveness import FusedProgram, adopt_fusion, fuse_trace
-from ..core.trace import TraceProgram, adopt_lowering, lower_program
+from ..core.fanout import FanoutTables, build_fanout
+from ..core.liveness import FusedProgram, fuse_trace
+from ..core.trace import TraceProgram, lower_program
 from .codec import (
     ArtifactDecodeError,
     ArtifactError,
@@ -88,14 +89,22 @@ ARTIFACT_SUFFIX = ".lpa"
 # ----------------------------------------------------------------------
 # Version negotiation: the reader registry
 # ----------------------------------------------------------------------
-#: format version -> reader(data: bytes) -> decoded artifact object.
-#: Version 1 (single program) registers below; version 2 (bundle)
-#: registers from :mod:`repro.artifact.bundle` at import.
+#: format version -> reader(header, arrays) -> decoded artifact object,
+#: over a container :func:`_open_container` verified.  Version 1 (single
+#: program) registers below; version 2 (bundle) registers from
+#: :mod:`repro.artifact.bundle` at import.
 _READERS: Dict[int, object] = {}
+
+#: what a container of each version holds, for the wrong-reader error.
+_KINDS = {
+    SINGLE_PROGRAM_VERSION: "a single-program artifact",
+    BUNDLE_FORMAT_VERSION: "a bundle",
+}
 
 
 def register_reader(version: int, reader=None):
-    """Register ``reader`` for ``version`` (usable as a decorator)."""
+    """Register ``reader(header, arrays)`` for ``version`` (usable as a
+    decorator)."""
 
     def _register(fn):
         _READERS[int(version)] = fn
@@ -119,18 +128,49 @@ def _version_error(version) -> ArtifactError:
     )
 
 
+def _unpack(data: bytes) -> Tuple[Dict[str, object], Dict[str, np.ndarray]]:
+    """``(header, arrays)`` of a container whose magic checks out."""
+    try:
+        header, arrays = unpack_container(data)
+    except ArtifactDecodeError as exc:
+        raise ArtifactError(str(exc)) from exc
+    if header.get("magic") != FORMAT_MAGIC:
+        raise ArtifactError("not a repro executable artifact (bad magic)")
+    return header, arrays
+
+
+def _open_container(
+    data: bytes, version: Optional[int] = None
+) -> Tuple[Dict[str, object], Dict[str, np.ndarray]]:
+    """``(header, arrays)`` of a verified container: the magic, a format
+    version this build reads (``version``, when given) and the content
+    fingerprint over every byte.  Every reader opens through here."""
+    header, arrays = _unpack(data)
+    found = header.get("format_version")
+    if found not in _READERS:
+        raise _version_error(found)
+    if version is not None and found != version:
+        raise ArtifactError(
+            f"artifact is a format v{found} container, not "
+            f"{_KINDS[version]}; load it through "
+            f"repro.artifact.load_artifact()"
+        )
+    expected = header.get("fingerprint")
+    actual = content_fingerprint(header, arrays)
+    if expected != actual:
+        raise ArtifactError(
+            "artifact fingerprint mismatch: the container is corrupt "
+            f"(header says {expected!r}, content hashes to {actual!r})"
+        )
+    return header, arrays
+
+
 def peek_header(data: bytes) -> Dict[str, object]:
     """The container header alone — magic-checked, but *not* version-
     gated and *not* fingerprint-verified — so tooling (``repro inspect``)
     can still print identity and provenance of an artifact whose format
     version this build cannot decode."""
-    try:
-        header, _arrays = unpack_container(data)
-    except ArtifactDecodeError as exc:
-        raise ArtifactError(str(exc)) from exc
-    if header.get("magic") != FORMAT_MAGIC:
-        raise ArtifactError("not a repro executable artifact (bad magic)")
-    return header
+    return _unpack(data)[0]
 
 
 def load_artifact_bytes(data: bytes):
@@ -141,12 +181,8 @@ def load_artifact_bytes(data: bytes):
     :class:`~repro.artifact.bundle.ArtifactBundle` (format v2); an
     unknown version raises :class:`ArtifactError` naming the versions
     this build reads."""
-    header = peek_header(data)
-    version = header.get("format_version")
-    reader = _READERS.get(version)
-    if reader is None:
-        raise _version_error(version)
-    return reader(data)
+    header, arrays = _open_container(data)
+    return _READERS[header["format_version"]](header, arrays)
 
 
 def load_artifact(path: str):
@@ -296,8 +332,6 @@ class ExecutableArtifact:
         cls,
         program: Program,
         *,
-        trace: Optional[TraceProgram] = None,
-        fused: Optional[FusedProgram] = None,
         lower: bool = True,
         fanout: bool = False,
         probe_words: int = 0,
@@ -306,16 +340,17 @@ class ExecutableArtifact:
         metrics: Optional[Dict[str, object]] = None,
         workload_fingerprint: Optional[str] = None,
     ) -> "ExecutableArtifact":
-        """Package a compiled program (lowering the trace tables unless
-        ``lower=False`` or prebuilt ``trace`` tables are supplied; the
-        liveness-renamed fused tables ride along whenever trace tables
-        are embedded).  ``fanout=True`` additionally embeds the delta
-        engine's fanout/cone tables, so streaming deployments boot with
-        zero cone analysis; the section is optional and ignored by
-        readers that predate it.  ``probe_words=N`` embeds ``N`` packed
-        stimulus words per primary input plus the functional reference's
-        expected outputs (another optional section), enabling
-        ``repro inspect --verify`` on boxes without the source netlist.
+        """Package a compiled program (with its lowered trace tables and
+        their liveness-renamed fused tables unless ``lower=False``; every
+        table comes from :mod:`repro.core.registry`, so a program an
+        engine already runs is not lowered again).  ``fanout=True``
+        additionally embeds the delta engine's fanout/cone tables, so
+        streaming deployments boot with zero cone analysis; the section
+        is optional and ignored by readers that predate it.
+        ``probe_words=N`` embeds ``N`` packed stimulus words per primary
+        input plus the functional reference's expected outputs (another
+        optional section), enabling ``repro inspect --verify`` on boxes
+        without the source netlist.
 
         ``workload_fingerprint`` is the *source* graph's content
         fingerprint when known (the identity every cache layer keys on);
@@ -325,18 +360,8 @@ class ExecutableArtifact:
         from .. import __version__
         from ..compiler.cache import graph_fingerprint
 
-        if trace is None and lower:
-            trace = lower_program(program)
-        if trace is not None and trace.program is not program:
-            raise ValueError(
-                "the supplied trace tables lower a different program"
-            )
-        if fused is not None and fused.trace is not trace:
-            raise ValueError(
-                "the supplied fused tables rename a different lowering"
-            )
-        if fused is None and trace is not None:
-            fused = fuse_trace(trace)
+        trace = lower_program(program) if lower else None
+        fused = fuse_trace(trace) if lower else None
         if fanout and fused is None:
             raise ValueError(
                 "fanout tables require the fused tables to be embedded "
@@ -371,7 +396,6 @@ class ExecutableArtifact:
         cls,
         result,
         *,
-        trace: Optional[TraceProgram] = None,
         lower: bool = True,
         fanout: bool = False,
         probe_words: int = 0,
@@ -388,7 +412,6 @@ class ExecutableArtifact:
         )
         return cls.from_program(
             result.program,
-            trace=trace,
             lower=lower,
             fanout=fanout,
             probe_words=probe_words,
@@ -459,38 +482,23 @@ class ExecutableArtifact:
     def from_bytes(cls, data: bytes) -> "ExecutableArtifact":
         """Deserialize, verifying the container, the format version and
         the content fingerprint over every byte, and decoding the sections
-        a boot runs.  The program's per-instruction tables and the graph's
-        node table decode on their first read (see
-        :func:`~repro.artifact.codec.decode_program`); any section that
-        fails to decode, here or then, raises :class:`ArtifactError`."""
-        try:
-            header, arrays = unpack_container(data)
-        except ArtifactDecodeError as exc:
-            raise ArtifactError(str(exc)) from exc
-        if header.get("magic") != FORMAT_MAGIC:
-            raise ArtifactError(
-                "not a repro executable artifact (bad magic)"
-            )
-        version = header.get("format_version")
-        if version != SINGLE_PROGRAM_VERSION:
-            if version in _READERS:
-                raise ArtifactError(
-                    f"artifact is a format v{version} container, not a "
-                    f"single-program artifact; load it through "
-                    f"repro.artifact.load_artifact()"
-                )
-            raise _version_error(version)
-        expected = header.get("fingerprint")
-        actual = content_fingerprint(header, arrays)
-        if expected != actual:
-            raise ArtifactError(
-                "artifact fingerprint mismatch: the container is corrupt "
-                f"(header says {expected!r}, content hashes to {actual!r})"
-            )
+        a boot runs."""
+        return cls.from_container(
+            *_open_container(data, SINGLE_PROGRAM_VERSION)
+        )
+
+    @classmethod
+    def from_container(cls, header, arrays) -> "ExecutableArtifact":
+        """Decode an opened, verified format-v1 container and register
+        its embedded tables (:meth:`share_tables`).  The program's
+        per-instruction tables and the graph's node table decode on their
+        first read (see :func:`~repro.artifact.codec.decode_program`);
+        any section that fails to decode, here or then, raises
+        :class:`ArtifactError`."""
         program, trace, fused, fanout, probes = decoded(
             cls._decode_sections, header, arrays
         )
-        return cls(
+        artifact = cls(
             program=program,
             trace=trace,
             fused=fused,
@@ -500,8 +508,10 @@ class ExecutableArtifact:
             pipeline=str(header.get("pipeline", "")),
             producer=str(header.get("producer", "")),
             metrics=header.get("metrics"),
-            fingerprint=str(expected),
+            fingerprint=str(header.get("fingerprint")),
         )
+        artifact.share_tables()
+        return artifact
 
     @staticmethod
     def _decode_sections(header, arrays):
@@ -511,20 +521,8 @@ class ExecutableArtifact:
             trace = decode_trace(dict(header["trace"]), arrays, program)
         if trace is not None and header.get("fused") is not None:
             fused = decode_fused(dict(header["fused"]), arrays, trace)
-        if trace is not None:
-            # Future lower_program() calls on this program now hit the
-            # process-wide cache instead of re-replaying the schedule.
-            canonical = adopt_lowering(trace)
-            if fused is not None and canonical is trace:
-                fused = adopt_fusion(fused)
-            trace = canonical
         if fused is not None and header.get("fanout") is not None:
-            # Decoded against the *final* (possibly cache-canonical)
-            # fused object, so the tables' identity check holds for
-            # every engine booted from this artifact.
-            fanout = adopt_fanout(
-                decode_fanout(dict(header["fanout"]), arrays, fused)
-            )
+            fanout = decode_fanout(dict(header["fanout"]), arrays, fused)
         if header.get("probes") is not None:
             probes = decode_probes(dict(header["probes"]), arrays)
         return program, trace, fused, fanout, probes
@@ -551,30 +549,40 @@ class ExecutableArtifact:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
+    def share_tables(self) -> Program:
+        """Register the embedded tables in :mod:`repro.core.registry` as
+        the lowering chain of their sources, so an engine booted on
+        :attr:`program` runs them instead of deriving its own (a live
+        registered table wins); returns the program.  Decoding does this,
+        and every engine boot from the artifact again, since a registry
+        clear may have dropped them in between."""
+        if self.trace is not None:
+            registry.adopt(registry.LOWERING, self.trace.program, self.trace)
+        if self.fused is not None:
+            registry.adopt(registry.FUSION, self.fused.trace, self.fused)
+        if self.fanout is not None:
+            registry.adopt(registry.FANOUT, self.fanout.fused, self.fanout)
+        return self.program
+
     def trace_program(self) -> TraceProgram:
-        """The lowered tables, lowering (and caching) on first use."""
+        """The lowered tables, lowering on first use if none are
+        embedded."""
         if self.trace is None:
             self.trace = lower_program(self.program)
         return self.trace
 
     def fused_program(self) -> FusedProgram:
-        """The liveness-renamed tables, renaming (and caching) on first
-        use; embedded tables bound to a superseded lowering are replaced
-        by the canonical fusion of :meth:`trace_program`."""
-        if self.fused is not None and self.fused.trace is self.trace:
-            return adopt_fusion(self.fused)
-        self.fused = fuse_trace(self.trace_program())
+        """The liveness-renamed tables, renaming on first use if none
+        are embedded."""
+        if self.fused is None:
+            self.fused = fuse_trace(self.trace_program())
         return self.fused
 
     def fanout_tables(self) -> FanoutTables:
-        """The delta engine's fanout/cone tables, deriving (and caching)
-        on first use; embedded tables bound to a superseded fusion are
-        replaced by a fresh derivation over :meth:`fused_program`."""
-        fused = self.fused_program()
-        if self.fanout is not None and self.fanout.fused is fused:
-            self.fanout = adopt_fanout(self.fanout)
-            return self.fanout
-        self.fanout = build_fanout(fused)
+        """The delta engine's fanout/cone tables, deriving them on first
+        use if none are embedded."""
+        if self.fanout is None:
+            self.fanout = build_fanout(self.fused_program())
         return self.fanout
 
     def session(
@@ -715,4 +723,4 @@ class ExecutableArtifact:
 
 
 # The format-v1 reader: the single-program artifact itself.
-register_reader(SINGLE_PROGRAM_VERSION, ExecutableArtifact.from_bytes)
+register_reader(SINGLE_PROGRAM_VERSION, ExecutableArtifact.from_container)

@@ -46,28 +46,18 @@ from .schedule import (
     build_schedule,
     schedule_summary,
 )
-from .fanout import (
-    FanoutTables,
-    adopt_fanout,
-    build_fanout,
+from .fanout import FanoutTables, build_fanout
+from .liveness import FusedLevel, FusedProgram, fuse_trace
+from .registry import (
     clear_fanout_cache,
-    fanout_cache_stats,
-)
-from .liveness import (
-    FusedLevel,
-    FusedProgram,
-    adopt_fusion,
     clear_fusion_cache,
-    fuse_trace,
-    fusion_cache_stats,
+    clear_lowering_cache,
 )
 from .trace import (
     TraceLevel,
     TraceLoweringError,
     TraceProgram,
-    clear_lowering_cache,
     lower_program,
-    lowering_cache_stats,
 )
 
 __all__ = [
@@ -114,20 +104,15 @@ __all__ = [
     "build_schedule",
     "schedule_summary",
     "FanoutTables",
-    "adopt_fanout",
     "build_fanout",
-    "clear_fanout_cache",
-    "fanout_cache_stats",
     "FusedLevel",
     "FusedProgram",
-    "adopt_fusion",
-    "clear_fusion_cache",
     "fuse_trace",
-    "fusion_cache_stats",
+    "clear_fanout_cache",
+    "clear_fusion_cache",
+    "clear_lowering_cache",
     "TraceLevel",
     "TraceLoweringError",
     "TraceProgram",
-    "clear_lowering_cache",
     "lower_program",
-    "lowering_cache_stats",
 ]

@@ -30,33 +30,25 @@ On top of the flat instruction tables sit:
   kernel generator (:func:`repro.engine.fused.generate_kernel`) compiles
   it as-is — the delta engine's worst-case fallback is literally the fused
   engine's kernel over the persistent table.  The dense view is **never**
-  registered in the fusion cache (it would collide with the real fusion of
-  the same trace); its kernels cache on the view itself, which lives here.
-
-Like lowerings and fusions, fanout tables are memoized process-wide (weak
-references keyed by the fused program's identity), so a pool of streaming
-workers over one program shares one set of tables and one dense kernel.
+  registered as a fusion (it would collide with the real fusion of the
+  same trace); its kernels live on the view itself.
 """
 
 from __future__ import annotations
 
-import threading
-import weakref
 from dataclasses import dataclass
 from typing import Dict, List
 
 import numpy as np
 
 from ..netlist import cells
+from . import registry
 from .liveness import FusedLevel, FusedProgram
 from .trace import _NUM_CONST_SLOTS
 
 __all__ = [
     "FanoutTables",
-    "adopt_fanout",
     "build_fanout",
-    "clear_fanout_cache",
-    "fanout_cache_stats",
 ]
 
 
@@ -85,7 +77,7 @@ class FanoutTables:
     consumer_gids: np.ndarray  # intp
     #: the delta tables repackaged as a FusedProgram: the dense-fallback
     #: kernel source.  Shares trace/segments/max_level_width with `fused`
-    #: but is NOT the canonical fusion — never pass it to adopt_fusion.
+    #: but is NOT the canonical fusion — never register it as one.
     dense: FusedProgram
 
     @property
@@ -102,87 +94,13 @@ class FanoutTables:
         return self.consumer_gids[lo:hi]
 
 
-# ----------------------------------------------------------------------
-# Fanout cache: the tables depend on the FusedProgram alone and are
-# immutable, so every delta engine over one fusion shares one set of
-# tables (and, transitively, one dense kernel).  Weak references
-# keyed by the fusion's id — the exact scheme of the fusion cache in
-# repro.core.liveness, one cache level up.
-_FANOUT_CACHE: Dict[int, "weakref.ref[FanoutTables]"] = {}
-_FANOUT_LOCK = threading.Lock()
-_FANOUT_HITS = 0
-_FANOUT_MISSES = 0
-
-
-def fanout_cache_stats() -> Dict[str, int]:
-    """Hit/miss counters of the process-wide fanout cache."""
-    with _FANOUT_LOCK:
-        return {
-            "hits": _FANOUT_HITS,
-            "misses": _FANOUT_MISSES,
-            "live_entries": len(_FANOUT_CACHE),
-        }
-
-
-def clear_fanout_cache() -> None:
-    """Drop all cached fanout tables and reset the counters (for tests)."""
-    global _FANOUT_HITS, _FANOUT_MISSES
-    with _FANOUT_LOCK:
-        _FANOUT_CACHE.clear()
-        _FANOUT_HITS = 0
-        _FANOUT_MISSES = 0
-
-
 def build_fanout(fused: FusedProgram, *, cache: bool = True) -> FanoutTables:
-    """The fanout/delta tables of ``fused``, memoized per fusion.
-
-    With ``cache=True`` (the default) repeated builds over the *same*
-    :class:`FusedProgram` object return one shared :class:`FanoutTables`;
-    pass ``cache=False`` to force a fresh derivation.
-    """
-    global _FANOUT_HITS, _FANOUT_MISSES
+    """The fanout/delta tables of ``fused``, once per fusion object
+    (:mod:`repro.core.registry`); ``cache=False`` forces a fresh
+    derivation that nothing shares."""
     if not cache:
         return _build_uncached(fused)
-    key = id(fused)
-    with _FANOUT_LOCK:
-        ref = _FANOUT_CACHE.get(key)
-        cached = ref() if ref is not None else None
-        if cached is not None and cached.fused is fused:
-            _FANOUT_HITS += 1
-            return cached
-    tables = _build_uncached(fused)
-    with _FANOUT_LOCK:
-        _FANOUT_MISSES += 1
-        dead = [k for k, r in _FANOUT_CACHE.items() if r() is None]
-        for k in dead:
-            del _FANOUT_CACHE[k]
-        ref = _FANOUT_CACHE.get(key)
-        racing = ref() if ref is not None else None
-        if racing is not None and racing.fused is fused:
-            return racing  # another thread derived first: share theirs
-        _FANOUT_CACHE[key] = weakref.ref(tables)
-    return tables
-
-
-def adopt_fanout(tables: FanoutTables) -> FanoutTables:
-    """Register externally-built tables (e.g. deserialized from an
-    :mod:`repro.artifact` container) in the process-wide cache.
-
-    Returns the canonical tables for ``tables.fused``: live cached tables
-    over the *same* fusion object win, so every consumer keeps sharing
-    one derivation and one dense kernel.
-    """
-    with _FANOUT_LOCK:
-        key = id(tables.fused)
-        ref = _FANOUT_CACHE.get(key)
-        cached = ref() if ref is not None else None
-        if cached is not None and cached.fused is tables.fused:
-            return cached
-        dead = [k for k, r in _FANOUT_CACHE.items() if r() is None]
-        for k in dead:
-            del _FANOUT_CACHE[k]
-        _FANOUT_CACHE[key] = weakref.ref(tables)
-        return tables
+    return registry.derive(registry.FANOUT, fused, _build_uncached)
 
 
 # ----------------------------------------------------------------------

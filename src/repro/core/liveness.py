@@ -45,21 +45,18 @@ and asserted by the tests:
   tables (earliest free run wins, ties broken low), which keeps
   serialized artifacts byte-stable across processes.
 
-Like lowerings, fusions are memoized process-wide (weak references keyed
-by the trace's identity), so a pool of serving workers over one program
-shares one set of renamed tables and one generated kernel.
 """
 
 from __future__ import annotations
 
 import threading
-import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 
 import numpy as np
 
 from ..netlist import cells
+from . import registry
 from .isa import _OPCODES
 from .trace import (
     _NUM_CONST_SLOTS,
@@ -72,11 +69,14 @@ from .trace import (
 __all__ = [
     "FusedLevel",
     "FusedProgram",
-    "adopt_fusion",
-    "clear_fusion_cache",
     "fuse_trace",
-    "fusion_cache_stats",
 ]
+
+T = TypeVar("T")
+
+#: guards every fusion's ``executables``.  Builds are rare, and one may
+#: need another (the device tables pack the stream first): re-entrant.
+_EXECUTABLES_LOCK = threading.RLock()
 
 
 @dataclass(frozen=True)
@@ -107,18 +107,26 @@ class FusedProgram:
     output_regs: Dict[str, int]  # PO name -> register row (never reused)
     #: widest renamed level (rows of the vector kernel's gather buffer).
     max_level_width: int
-    #: per-program generated vector kernel, compiled by the fused engine
-    #: and shared by every engine over this fusion (never serialized;
-    #: see repro.engine.fused).
-    kernel: Optional[Callable] = field(default=None, compare=False)
-    #: lazily-populated per-program caches of the native/profiling
-    #: consumers, keyed by consumer name — the hazard-ordered packed
-    #: stream (repro.core.stream), the timed profiling kernel,
-    #: device-resident tables.  Shared process-wide through the fusion
-    #: cache exactly like ``kernel``; never serialized.
-    native_cache: Dict[str, object] = field(
+    #: the executable forms built from these tables, by name (the
+    #: vector kernel, the packed stream, ...; see :meth:`executable`).
+    #: None refers back to the fusion, so holding them strongly keeps
+    #: the chain free of cycles; never serialized.
+    executables: Dict[str, object] = field(
         default_factory=dict, compare=False
     )
+
+    def executable(
+        self, name: str, build: Callable[["FusedProgram"], T]
+    ) -> T:
+        """The executable form ``name`` of this fusion, built by
+        ``build(self)`` on first use and shared by every engine over it."""
+        value = self.executables.get(name)
+        if value is None:
+            with _EXECUTABLES_LOCK:
+                value = self.executables.get(name)
+                if value is None:
+                    value = self.executables[name] = build(self)
+        return value
 
     def run_length_stats(self) -> Dict[str, float]:
         """Contiguity of the level output runs — the fast-path coverage
@@ -170,101 +178,21 @@ class FusedProgram:
         return self.trace.num_slots
 
 
-# ----------------------------------------------------------------------
-# Fusion cache: a FusedProgram depends on the TraceProgram alone and its
-# tables are immutable, so every engine fusing the same trace object can
-# share one renaming (and, transitively, one generated kernel).  Weak
-# references keyed by the trace's id, with an identity check against id
-# reuse — the exact scheme of the lowering cache in repro.core.trace.
-_FUSE_CACHE: Dict[int, "weakref.ref[FusedProgram]"] = {}
-_FUSE_LOCK = threading.Lock()
-_FUSE_HITS = 0
-_FUSE_MISSES = 0
-
-
-def fusion_cache_stats() -> Dict[str, int]:
-    """Hit/miss counters of the process-wide fusion cache."""
-    with _FUSE_LOCK:
-        return {
-            "hits": _FUSE_HITS,
-            "misses": _FUSE_MISSES,
-            "live_entries": len(_FUSE_CACHE),
-        }
-
-
-def clear_fusion_cache() -> None:
-    """Drop all cached fusions and reset the counters (for tests)."""
-    global _FUSE_HITS, _FUSE_MISSES
-    with _FUSE_LOCK:
-        _FUSE_CACHE.clear()
-        _FUSE_HITS = 0
-        _FUSE_MISSES = 0
-
-
 def fuse_trace(
     trace: TraceProgram,
     *,
     cache: bool = True,
     frag_budget: Optional[int] = None,
 ) -> FusedProgram:
-    """Rename ``trace`` onto a compact register file, memoized per trace.
-
-    With ``cache=True`` (the default) repeated fusions of the *same*
-    :class:`TraceProgram` object return one shared :class:`FusedProgram`;
-    pass ``cache=False`` to force a fresh allocation.  ``frag_budget``
-    overrides the fragmentation allowance over the tightest file size
-    (default ``max(8, compact_size // 2)``); overriding implies
-    ``cache=False`` — a non-default allocation must not shadow the
-    canonical fusion in the process-wide cache.
-    """
-    global _FUSE_HITS, _FUSE_MISSES
-    if frag_budget is not None:
-        return _fuse_uncached(trace, frag_budget=frag_budget)
-    if not cache:
-        return _fuse_uncached(trace)
-    key = id(trace)
-    with _FUSE_LOCK:
-        ref = _FUSE_CACHE.get(key)
-        cached = ref() if ref is not None else None
-        if cached is not None and cached.trace is trace:
-            _FUSE_HITS += 1
-            return cached
-    fused = _fuse_uncached(trace)
-    with _FUSE_LOCK:
-        _FUSE_MISSES += 1
-        dead = [k for k, r in _FUSE_CACHE.items() if r() is None]
-        for k in dead:
-            del _FUSE_CACHE[k]
-        ref = _FUSE_CACHE.get(key)
-        racing = ref() if ref is not None else None
-        if racing is not None and racing.trace is trace:
-            return racing  # another thread fused first: share theirs
-        _FUSE_CACHE[key] = weakref.ref(fused)
-    return fused
-
-
-def adopt_fusion(fused: FusedProgram) -> FusedProgram:
-    """Register an externally-built fusion (e.g. deserialized from an
-    :mod:`repro.artifact` container) in the process-wide cache.
-
-    Returns the canonical fusion for ``fused.trace``: a live cached
-    fusion of the *same* trace object wins, so every consumer keeps
-    sharing one set of tables and one generated kernel.
-    """
-    with _FUSE_LOCK:
-        key = id(fused.trace)
-        ref = _FUSE_CACHE.get(key)
-        cached = ref() if ref is not None else None
-        if cached is not None and cached.trace is fused.trace:
-            return cached
-        # Sweep here too: artifact-only processes adopt without ever
-        # taking the fuse_trace miss path, and churning workloads would
-        # otherwise accumulate dead entries forever.
-        dead = [k for k, r in _FUSE_CACHE.items() if r() is None]
-        for k in dead:
-            del _FUSE_CACHE[k]
-        _FUSE_CACHE[key] = weakref.ref(fused)
-        return fused
+    """Rename ``trace`` onto a compact register file, once per trace
+    object (:mod:`repro.core.registry`); ``cache=False`` forces a fresh
+    allocation that nothing shares.  ``frag_budget`` overrides the
+    fragmentation allowance over the tightest file size (default
+    ``max(8, compact_size // 2)``) and implies ``cache=False``: a
+    non-default allocation must not shadow the canonical fusion."""
+    if not cache or frag_budget is not None:
+        return _fuse_uncached(trace, frag_budget)
+    return registry.derive(registry.FUSION, trace, _fuse_uncached)
 
 
 # ----------------------------------------------------------------------

@@ -23,8 +23,8 @@ pays one ``MOV`` per cycle broken instead of one per register that is
 both read and written.
 
 :func:`pack_stream` applies that to every level and packs the result as
-one flat :class:`PackedStream` (opcode / a / b / out arrays), cached on
-the fusion.  It is the single sequential IR: the fused engine binds it to
+one flat :class:`PackedStream` (opcode / a / b / out arrays), built once
+per fusion.  It is the single sequential IR: the fused engine binds it to
 row views for wide batches, the native engine's numba and CUDA kernels
 loop over it, and :func:`repro.engine.native.execute_stream` is its
 reference interpreter.
@@ -33,7 +33,6 @@ reference interpreter.
 from __future__ import annotations
 
 import heapq
-import threading
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -82,8 +81,6 @@ STREAM_FUNCS = {
     OP_NOR: (np.bitwise_or, True),
     OP_XNOR: (np.bitwise_xor, True),
 }
-
-_PACK_LOCK = threading.Lock()
 
 #: one step of an ordered level: ``(instruction, reads, out)`` — the
 #: position of the instruction in the stored level (``-1`` for a
@@ -232,12 +229,6 @@ def _pack_uncached(fused: FusedProgram) -> PackedStream:
 
 
 def pack_stream(fused: FusedProgram) -> PackedStream:
-    """The packed stream of ``fused``, ordered and packed on first use
-    and cached on the fusion itself (once per program process-wide)."""
-    stream = fused.native_cache.get("stream")
-    if stream is not None:
-        return stream
-    with _PACK_LOCK:
-        if "stream" not in fused.native_cache:
-            fused.native_cache["stream"] = _pack_uncached(fused)
-        return fused.native_cache["stream"]
+    """The packed stream of ``fused``, ordered and packed once, on first
+    use, as one of the fusion's executables."""
+    return fused.executable("stream", _pack_uncached)

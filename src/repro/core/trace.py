@@ -41,8 +41,6 @@ as constants.
 
 from __future__ import annotations
 
-import threading
-import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
@@ -50,6 +48,7 @@ import numpy as np
 
 from ..netlist import cells
 from ..netlist.graph import DeferredFields
+from . import registry
 from .codegen import NO_NODE, PORT_A, PORT_B, Program
 from .isa import (
     _OPCODE_NAMES,
@@ -130,98 +129,13 @@ class DeferredTraceProgram(DeferredFields, TraceProgram):
     """A :class:`TraceProgram` that has not read its levels yet."""
 
 
-# ----------------------------------------------------------------------
-# Lowering cache: a TraceProgram depends on the Program alone, and its
-# tables are immutable at run time (the index arrays are marked read-only),
-# so every engine lowering the same Program object can share one artifact.
-# The cache holds *weak* references — it never extends the lifetime of a
-# lowering beyond its last consumer — keyed by the program's id with an
-# identity check guarding against id reuse.  This is what makes a
-# multi-worker serving pool over one compiled program pay for lowering
-# once instead of once per worker.
-_LOWER_CACHE: Dict[int, "weakref.ref[TraceProgram]"] = {}
-_LOWER_LOCK = threading.Lock()
-_LOWER_HITS = 0
-_LOWER_MISSES = 0
-
-
-def lowering_cache_stats() -> Dict[str, int]:
-    """Hit/miss counters of the process-wide lowering cache."""
-    with _LOWER_LOCK:
-        return {
-            "hits": _LOWER_HITS,
-            "misses": _LOWER_MISSES,
-            "live_entries": len(_LOWER_CACHE),
-        }
-
-
-def clear_lowering_cache() -> None:
-    """Drop all cached lowerings and reset the counters (for tests)."""
-    global _LOWER_HITS, _LOWER_MISSES
-    with _LOWER_LOCK:
-        _LOWER_CACHE.clear()
-        _LOWER_HITS = 0
-        _LOWER_MISSES = 0
-
-
 def lower_program(program: Program, *, cache: bool = True) -> TraceProgram:
-    """Lower ``program`` to a :class:`TraceProgram`, memoized per program.
-
-    With ``cache=True`` (the default) repeated lowerings of the *same*
-    :class:`Program` object return one shared :class:`TraceProgram`; pass
-    ``cache=False`` to force a fresh lowering.
-    """
-    global _LOWER_HITS, _LOWER_MISSES
+    """Lower ``program`` to a :class:`TraceProgram`, once per program
+    object (:mod:`repro.core.registry`); ``cache=False`` forces a fresh
+    lowering that nothing shares."""
     if not cache:
         return _lower_program_uncached(program)
-    key = id(program)
-    with _LOWER_LOCK:
-        ref = _LOWER_CACHE.get(key)
-        cached = ref() if ref is not None else None
-        if cached is not None and cached.program is program:
-            _LOWER_HITS += 1
-            return cached
-    trace = _lower_program_uncached(program)
-    with _LOWER_LOCK:
-        _LOWER_MISSES += 1
-        # Dead entries are swept here, on the (rare, compile-scale) miss
-        # path — never from a weakref callback, which could fire at any
-        # refcount drop and race live replacements out of the cache.
-        dead = [k for k, r in _LOWER_CACHE.items() if r() is None]
-        for k in dead:
-            del _LOWER_CACHE[k]
-        ref = _LOWER_CACHE.get(key)
-        racing = ref() if ref is not None else None
-        if racing is not None and racing.program is program:
-            return racing  # another thread lowered first: share theirs
-        _LOWER_CACHE[key] = weakref.ref(trace)
-    return trace
-
-
-def adopt_lowering(trace: TraceProgram) -> TraceProgram:
-    """Register an externally-built lowering (e.g. deserialized from an
-    :mod:`repro.artifact` container) in the process-wide cache.
-
-    Returns the canonical lowering for ``trace.program``: if a live
-    lowering of the *same* program object is already cached it wins, so
-    every consumer keeps sharing one set of tables.  After adoption,
-    :func:`lower_program` on that program object is a cache hit — loading
-    an artifact therefore never pays the symbolic replay.
-    """
-    with _LOWER_LOCK:
-        key = id(trace.program)
-        ref = _LOWER_CACHE.get(key)
-        cached = ref() if ref is not None else None
-        if cached is not None and cached.program is trace.program:
-            return cached
-        # Sweep here too: artifact-only processes adopt without ever
-        # taking the lower_program miss path, and churning workloads
-        # would otherwise accumulate dead entries forever.
-        dead = [k for k, r in _LOWER_CACHE.items() if r() is None]
-        for k in dead:
-            del _LOWER_CACHE[k]
-        _LOWER_CACHE[key] = weakref.ref(trace)
-        return trace
+    return registry.derive(registry.LOWERING, program, _lower_program_uncached)
 
 
 #: opcode -> op name, -> rank of that name in sorted order (levels sort
@@ -450,8 +364,7 @@ def _lower_program_uncached(program: Program) -> TraceProgram:
     a_index = slot[..., 0].reshape(-1)[ranked].astype(np.intp)
     b_index = np.maximum(slot[..., 1].reshape(-1)[ranked], CONST0_SLOT)
     b_index = b_index.astype(np.intp)
-    # Lowered tables may be shared across engines and threads (see the
-    # lowering cache): freeze them.
+    # Lowered tables are shared across engines and threads: freeze them.
     a_index.setflags(write=False)
     b_index.setflags(write=False)
     ranked_cycle = cycle[ranked // m]

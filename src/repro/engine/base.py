@@ -62,15 +62,6 @@ class ExecutionEngine(ABC):
     def __init__(self, program: Program) -> None:
         self.program = program
 
-    @classmethod
-    def from_artifact(cls, artifact, **options) -> "ExecutionEngine":
-        """Construct from a deserialized
-        :class:`~repro.artifact.format.ExecutableArtifact`.  The default
-        uses the program only; engines with embedded-table fast paths
-        override this.  ``options`` are engine constructor keywords
-        (see :func:`create_engine`)."""
-        return cls(artifact.program, **options)
-
     @abstractmethod
     def run(self, inputs: Dict[str, np.ndarray]) -> SimulationResult:
         """Execute one inference pass over ``inputs``.
@@ -225,9 +216,9 @@ def create_engine(name: str, source, **options) -> ExecutionEngine:
     """Instantiate the engine registered under ``name``.
 
     ``source`` is a compiled :class:`Program` or an
-    :class:`~repro.artifact.format.ExecutableArtifact`; artifacts hand
-    their embedded lowered trace tables to the trace engine, so booting
-    from an artifact performs neither compilation nor lowering.
+    :class:`~repro.artifact.format.ExecutableArtifact`, whose embedded
+    tables the engine finds through :mod:`repro.core.registry`, so
+    booting from an artifact performs neither compilation nor lowering.
 
     ``options`` are engine-specific constructor keywords (e.g. the
     native engine's ``backend=``/``threads=``, the fused engine's
@@ -243,7 +234,7 @@ def create_engine(name: str, source, **options) -> ExecutionEngine:
     from ..artifact.format import ExecutableArtifact
 
     if isinstance(source, ExecutableArtifact):
-        return cls.from_artifact(source, **options)
+        source = source.share_tables()
     return cls(source, **options)
 
 

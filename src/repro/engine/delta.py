@@ -68,9 +68,9 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..core.codegen import Program
-from ..core.fanout import FanoutTables, adopt_fanout, build_fanout
-from ..core.liveness import FusedProgram, adopt_fusion, fuse_trace
-from ..core.trace import TraceProgram, lower_program
+from ..core.fanout import FanoutTables, build_fanout
+from ..core.liveness import fuse_trace
+from ..core.trace import lower_program
 from ..lpu.simulator import SimulationResult
 from ..netlist import cells
 from .base import ExecutionEngine, WordGather, register_engine, table_result
@@ -189,24 +189,9 @@ class DeltaEngine(ExecutionEngine):
     #: ...but never for levels dirtier than this many instructions only.
     dense_level_min = 8
 
-    @classmethod
-    def from_artifact(cls, artifact, **options) -> "DeltaEngine":
-        # Embedded fanout tables boot with zero lowering, zero renaming
-        # and zero cone analysis; absent sections are derived on the fly.
-        return cls(
-            artifact.program,
-            trace=artifact.trace,
-            fused=artifact.fused,
-            fanout=artifact.fanout,
-            **options,
-        )
-
     def __init__(
         self,
         program: Program,
-        trace: Optional[TraceProgram] = None,
-        fused: Optional[FusedProgram] = None,
-        fanout: Optional[FanoutTables] = None,
         *,
         dense_input_fraction: Optional[float] = None,
         dense_level_fraction: Optional[float] = None,
@@ -219,21 +204,13 @@ class DeltaEngine(ExecutionEngine):
             if rowwise_min_words is None
             else int(rowwise_min_words)
         )
-        if fused is not None and (trace is None or fused.trace is trace):
-            self.fused = adopt_fusion(fused)
-        else:
-            if trace is None:
-                trace = lower_program(program)
-            self.fused = fuse_trace(trace)
+        self.fused = fuse_trace(lower_program(program))
         self.trace = self.fused.trace
-        if fanout is not None and fanout.fused is self.fused:
-            self.tables = adopt_fanout(fanout)
-        else:
-            self.tables = build_fanout(self.fused)
+        self.tables = build_fanout(self.fused)
         # The dense view IS a FusedProgram, so the fallback runs it the
-        # way the fused engine would; its vector kernel (cached on the
-        # view, which lives in the process-wide fanout cache) is compiled
-        # here rather than on the first stream step.
+        # way the fused engine would; its vector kernel (one of the
+        # view's executables, shared with every engine over these
+        # tables) is compiled here rather than on the first stream step.
         ensure_kernel(self.tables.dense)
         if dense_input_fraction is not None:
             self.dense_input_fraction = float(dense_input_fraction)

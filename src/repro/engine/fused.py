@@ -25,9 +25,8 @@ all bit-identical to it (outputs and statistics):
      levels).  It touches seven rows per instruction (gather 2+2,
      compute 2+1) but makes a handful of calls per level — fastest
      while rows are narrow and interpreter overhead dominates.  It is
-     cached on the :class:`~repro.core.liveness.FusedProgram`, which
-     lives in the process-wide fusion cache, so a serving pool over one
-     program compiles it once;
+     one of the :class:`~repro.core.liveness.FusedProgram`'s
+     executables, so a serving pool over one program compiles it once;
    * the **rowwise** form minimizes *memory traffic*: the
      hazard-ordered packed stream (:func:`repro.core.stream.pack_stream`
      — readers of a register before its writer, one ``MOV`` per cycle
@@ -46,7 +45,7 @@ engine (or :class:`~repro.engine.session.Session`) across threads stays
 *correct* — but for thread-PARALLEL serving create one engine per
 thread, which is exactly what :class:`~repro.serve.pool.WorkerPool`
 does; the renamed tables, the generated kernel and the packed stream are
-still shared process-wide.
+still built once per program.
 """
 
 from __future__ import annotations
@@ -60,14 +59,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..core.codegen import Program
-from ..core.liveness import (
-    FusedProgram,
-    _level_ops,
-    adopt_fusion,
-    fuse_trace,
-)
+from ..core.liveness import FusedProgram, _level_ops, fuse_trace
 from ..core.stream import OP_MOV, OP_NOT, STREAM_FUNCS, pack_stream
-from ..core.trace import _NUM_CONST_SLOTS, TraceProgram, lower_program
+from ..core.trace import _NUM_CONST_SLOTS, lower_program
 from ..lpu.simulator import SimulationResult
 from ..netlist import cells
 from .base import ExecutionEngine, WordGather, register_engine, table_result
@@ -109,8 +103,6 @@ _MISO_KERNELS = {
     cells.NOR: ("bor", True),
     cells.XNOR: ("bxor", True),
 }
-
-_KERNEL_LOCK = threading.Lock()
 
 
 # ----------------------------------------------------------------------
@@ -278,27 +270,14 @@ def generate_kernel(fused: FusedProgram, *, timed: bool = False) -> Callable:
 
 def ensure_kernel(fused: FusedProgram) -> Callable:
     """The vector kernel of ``fused``, compiling (once) on first use."""
-    kernel = fused.kernel
-    if kernel is not None:
-        return kernel
-    with _KERNEL_LOCK:
-        if fused.kernel is None:
-            fused.kernel = generate_kernel(fused)
-        return fused.kernel
+    return fused.executable("kernel", generate_kernel)
 
 
 def ensure_timed_kernel(fused: FusedProgram) -> Callable:
-    """The timed vector kernel, compiled once and cached on the fusion
-    (in ``native_cache``, like every lazily-derived executable)."""
-    kernel = fused.native_cache.get("timed_kernel")
-    if kernel is not None:
-        return kernel
-    with _KERNEL_LOCK:
-        if "timed_kernel" not in fused.native_cache:
-            fused.native_cache["timed_kernel"] = generate_kernel(
-                fused, timed=True
-            )
-        return fused.native_cache["timed_kernel"]
+    """The timed vector kernel of ``fused``, compiled once on first use."""
+    return fused.executable(
+        "timed_kernel", lambda fused: generate_kernel(fused, timed=True)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -308,15 +287,17 @@ class _Workspace:
     """Preallocated buffers for one batch shape: the register file, plus
     the scratch of each executable form from the first time that form
     runs on the shape — the vector kernel's whole-level a+b gather
-    buffer, the rowwise form's cycle-MOV rows and bound calls."""
+    buffer, the rowwise form's cycle-MOV rows and bound calls.  The
+    vector kernel itself is bound here, so a run reads it directly."""
 
     __slots__ = (
-        "fused", "words", "values", "rows", "pi_block",
+        "fused", "kernel", "words", "values", "rows", "pi_block",
         "_ab_buf", "_mov_rows", "_calls",
     )
 
     def __init__(self, fused: FusedProgram, shape: Tuple[int, ...]) -> None:
         self.fused = fused
+        self.kernel = ensure_kernel(fused)
         self.words = math.prod(shape)
         self.values = np.empty((fused.num_regs,) + shape, dtype=_WORD)
         self.values[0] = 0
@@ -416,7 +397,7 @@ def run_levels(
                 times[level] += perf() - start
         return "rowwise"
     if times is None:
-        ensure_kernel(ws.fused)(ws.values, ws.rows, ws.ab_buf)
+        ws.kernel(ws.values, ws.rows, ws.ab_buf)
     else:
         ensure_timed_kernel(ws.fused)(ws.values, ws.rows, ws.ab_buf, times)
     return "vector"
@@ -430,23 +411,9 @@ class FusedEngine(ExecutionEngine):
     name = "fused"
     uses_trace = True
 
-    @classmethod
-    def from_artifact(cls, artifact, **options) -> "FusedEngine":
-        # Embedded renamed tables boot with zero lowering and zero
-        # renaming; the engine falls back to fusing the embedded (or
-        # freshly lowered) trace when they are absent.
-        return cls(
-            artifact.program,
-            trace=artifact.trace,
-            fused=artifact.fused,
-            **options,
-        )
-
     def __init__(
         self,
         program: Program,
-        trace: Optional[TraceProgram] = None,
-        fused: Optional[FusedProgram] = None,
         *,
         rowwise_min_words: Optional[int] = None,
     ) -> None:
@@ -456,14 +423,7 @@ class FusedEngine(ExecutionEngine):
             if rowwise_min_words is None
             else int(rowwise_min_words)
         )
-        if fused is not None and (trace is None or fused.trace is trace):
-            # Prebuilt renamed tables (e.g. artifact-embedded): adopt
-            # them; a live canonical fusion of the same trace wins.
-            self.fused = adopt_fusion(fused)
-        else:
-            if trace is None:
-                trace = lower_program(program)
-            self.fused = fuse_trace(trace)
+        self.fused = fuse_trace(lower_program(program))
         self.trace = self.fused.trace
         ensure_kernel(self.fused)  # compiled at boot, not on the first run
         # Workspaces are mutable per-instance state; the lock keeps a

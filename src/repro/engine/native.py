@@ -34,8 +34,8 @@ pure-numpy environment never imports them — and ``backend="auto"``
 resolves through the deterministic fallback chain
 ``cupy -> numba -> threaded -> fused`` (:func:`capabilities` reports
 what this host offers).  The packed stream and device-resident tables
-are cached on the ``FusedProgram`` (``native_cache``) alongside the
-exec-generated kernel, so a worker pool over one program packs once.
+are executables of the ``FusedProgram``, like the generated kernel, so
+a worker pool over one program packs once.
 
 Outputs AND statistics are bit-identical to every other engine; the
 parity matrix in ``tests/test_native.py`` gates every backend over all
@@ -52,7 +52,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..core.codegen import Program
-from ..core.liveness import FusedProgram
 from ..core.stream import (
     OP_MOV,
     OP_NOT,
@@ -60,7 +59,6 @@ from ..core.stream import (
     PackedStream,
     pack_stream,
 )
-from ..core.trace import TraceProgram
 from ..lpu.simulator import SimulationResult
 from .base import register_engine, table_result
 from .fused import _WORD, FusedEngine, _Workspace, run_levels
@@ -305,17 +303,13 @@ class NativeEngine(FusedEngine):
     def __init__(
         self,
         program: Program,
-        trace: Optional[TraceProgram] = None,
-        fused: Optional[FusedProgram] = None,
         *,
         backend: str = "auto",
         threads: Optional[int] = None,
         min_shard_words: Optional[int] = None,
         rowwise_min_words: Optional[int] = None,
     ) -> None:
-        super().__init__(
-            program, trace, fused, rowwise_min_words=rowwise_min_words
-        )
+        super().__init__(program, rowwise_min_words=rowwise_min_words)
         if backend == "auto":
             self.backend = next(
                 name for name in FALLBACK_CHAIN
@@ -490,12 +484,10 @@ class NativeEngine(FusedEngine):
 
     # -- cupy stream backend -------------------------------------------
     def _cupy_tables(self, cupy):
-        tables = self.fused.native_cache.get("cupy_tables")
-        if tables is None:
-            stream = pack_stream(self.fused)
-            kernel = cupy.RawKernel(_CUDA_SOURCE, "lpu_stream")
-            tables = {
-                "kernel": kernel,
+        def build(fused):
+            stream = pack_stream(fused)
+            return {
+                "kernel": cupy.RawKernel(_CUDA_SOURCE, "lpu_stream"),
                 "ops": cupy.asarray(stream.ops),
                 "a_reg": cupy.asarray(stream.a_reg),
                 "b_reg": cupy.asarray(stream.b_reg),
@@ -503,8 +495,8 @@ class NativeEngine(FusedEngine):
                 "n_instr": stream.num_instructions,
                 "num_regs": stream.num_regs,
             }
-            self.fused.native_cache["cupy_tables"] = tables
-        return tables
+
+        return self.fused.executable("cupy_tables", build)
 
     def _run_cupy(
         self, flat: np.ndarray, num_words: int

@@ -19,12 +19,12 @@ reported identically to the cycle-accurate engine, per run.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from ..core.codegen import Program
-from ..core.trace import TraceProgram, lower_program
+from ..core.trace import lower_program
 from ..netlist import cells
 from ..lpu.simulator import SimulationResult
 from .base import ExecutionEngine, WordGather, register_engine, table_result
@@ -39,15 +39,9 @@ class TraceEngine(ExecutionEngine):
     name = "trace"
     uses_trace = True
 
-    @classmethod
-    def from_artifact(cls, artifact, **options) -> "TraceEngine":
-        return cls(artifact.program, artifact.trace_program(), **options)
-
-    def __init__(
-        self, program: Program, trace: Optional[TraceProgram] = None
-    ) -> None:
+    def __init__(self, program: Program) -> None:
         super().__init__(program)
-        self.trace = trace if trace is not None else lower_program(program)
+        self.trace = lower_program(program)
         # Bind each level's opcode segments to their word kernels up front.
         self._levels = [
             (

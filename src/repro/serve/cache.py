@@ -316,10 +316,8 @@ class ProgramCache:
             if program is None:  # pragma: no cover - compile_ffcl guards
                 raise ValueError("compilation produced no program")
         if engine_uses_trace(engine):
-            # Artifact-borne lowerings were adopted into the process-wide
-            # cache on deserialization, so this never re-lowers them (the
-            # fused engine's renamed tables live in the analogous
-            # process-wide fusion cache, keyed by this shared lowering).
+            # An artifact's lowering was registered at decode, so this
+            # never re-lowers it; holding it keeps the chain shared.
             trace = lower_program(program)
         else:
             trace = artifact.trace if artifact is not None else None
@@ -334,9 +332,7 @@ class ProgramCache:
             # engine with zero compilation AND zero lowering, so a
             # cycle-engine compile lowers here (cheap, once, offline)
             # rather than leaving every future trace cold start to pay it.
-            artifact = ExecutableArtifact.from_compile(
-                compile_result, trace=trace, lower=True
-            )
+            artifact = ExecutableArtifact.from_compile(compile_result)
             self.store.put(disk_key(key), artifact)
             with self._lock:
                 self.stats.disk_stores += 1

@@ -9,8 +9,8 @@ places incoming batches on them with a configurable policy:
 
 Workers are **thread-backed** by default: trace execution is numpy-bound,
 so worker threads overlap the vector kernels while sharing one lowered
-:class:`~repro.core.trace.TraceProgram` (see the lowering cache in
-:mod:`repro.core.trace` — lowering is paid once, not once per worker).
+:class:`~repro.core.trace.TraceProgram` (through :mod:`repro.core.registry`
+— lowering is paid once, not once per worker).
 Two **process-backed** modes sidestep the interpreter lock entirely at
 the cost of pickling batches across the process boundary:
 

@@ -3,7 +3,7 @@
 Covers the four layers the streaming stack is built from:
 
 * :mod:`repro.core.fanout` — single-assignment delta tables and the
-  CSR register->consumer fanout, plus their process-wide cache,
+  CSR register->consumer fanout,
 * :class:`repro.engine.delta.DeltaEngine` — bit-identity to the fused
   engine over ANY stream history (hypothesis-driven low- and
   high-entropy streams), state lifecycle, and the dense fallbacks,
@@ -18,12 +18,7 @@ from hypothesis import strategies as st
 
 from repro.artifact import ExecutableArtifact
 from repro.core import LPUConfig, compile_ffcl
-from repro.core.fanout import (
-    adopt_fanout,
-    build_fanout,
-    clear_fanout_cache,
-    fanout_cache_stats,
-)
+from repro.core.fanout import build_fanout
 from repro.core.liveness import fuse_trace
 from repro.core.trace import lower_program
 from repro.engine import Session, available_engines, create_engine
@@ -102,19 +97,6 @@ class TestFanoutTables:
         got = create_engine("delta", result.program).run(stim)
         for name, words in reference.items():
             assert np.array_equal(got.outputs[name], words), name
-
-    def test_cache_shared_and_adopted(self):
-        program = _compiled().program
-        fused = fuse_trace(lower_program(program))
-        clear_fanout_cache()
-        first = build_fanout(fused)
-        again = build_fanout(fused)
-        assert again is first
-        stats = fanout_cache_stats()
-        assert stats["hits"] >= 1 and stats["live_entries"] >= 1
-        assert adopt_fanout(first) is first
-        clear_fanout_cache()
-        assert fanout_cache_stats()["live_entries"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -424,8 +406,10 @@ class TestArtifactFanout:
         assert loaded.fanout.fused is loaded.fused
         # Deterministic re-encode: byte-identical through the round trip.
         assert loaded.to_bytes() == payload
-        # The embedded tables are the ones the accessor hands out.
-        assert loaded.fanout_tables() is adopt_fanout(loaded.fanout)
+        # The embedded tables are the ones the accessor hands out, and
+        # the ones the registry shares.
+        assert loaded.fanout_tables() is loaded.fanout
+        assert build_fanout(loaded.fused) is loaded.fanout
         summary = loaded.summary()["fanout"]
         assert summary["rows"] == loaded.fanout.num_rows
 
@@ -457,7 +441,7 @@ class TestArtifactFanout:
         for i, stim in enumerate(stream):
             _assert_step_equal(fused.run(stim), delta.run(stim), i)
         # The embedded tables were adopted, not rebuilt.
-        assert delta.engine.tables is adopt_fanout(loaded.fanout)
+        assert delta.engine.tables is loaded.fanout
 
 
 # ----------------------------------------------------------------------

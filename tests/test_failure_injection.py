@@ -81,7 +81,7 @@ def run_both(program, stimulus):
     except TraceLoweringError:
         traced = None
     else:
-        traced = TraceEngine(program, trace).run(stimulus)
+        traced = TraceEngine(program).run(stimulus)
     assert (simulated is None) == (traced is None), (simulated, traced)
     if simulated is not None:
         assert set(simulated.outputs) == set(traced.outputs)

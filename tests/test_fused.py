@@ -1,6 +1,6 @@
 """Tests for liveness-driven fusion: the register allocator, the fused
 engine, its two executable forms and workspaces, the process-wide
-caches, and the artifact round-trip of renamed tables.
+registry, and the artifact round-trip of renamed tables.
 
 The load-bearing properties:
 
@@ -9,12 +9,14 @@ The load-bearing properties:
   form (generated vector kernel vs bound rowwise stream),
 * the register file is strictly smaller than the trace value table on
   deep programs (the whole point of the renaming),
-* lowerings and fusions are shared process-wide — including under
-  thread races — and artifact-embedded tables round-trip exactly.
+* every stage of the lowering chain is shared through the one registry
+  — including under thread races — its tables die by reference
+  counting, and artifact-embedded tables round-trip exactly.
 """
 
 import gc
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -25,15 +27,15 @@ from hypothesis import strategies as st
 from repro.artifact import ExecutableArtifact
 from repro.core import (
     LPUConfig,
+    build_fanout,
+    clear_fanout_cache,
     clear_fusion_cache,
     clear_lowering_cache,
     compile_ffcl,
     fuse_trace,
-    fusion_cache_stats,
     lower_program,
-    lowering_cache_stats,
+    registry,
 )
-from repro.core.liveness import adopt_fusion
 from repro.core.stream import pack_stream
 from repro.engine import FusedEngine, Session, create_engine
 from repro.engine import fused as fused_module
@@ -162,72 +164,23 @@ class TestLivenessAllocation:
 
 
 # ----------------------------------------------------------------------
-class TestFusionCache:
-    def test_fusions_shared_per_trace(self):
-        clear_fusion_cache()
-        g = random_dag(5, 30, 2, seed=2)
-        res = compile_ffcl(g, TINY)
-        trace = lower_program(res.program)
-        one = fuse_trace(trace)
-        two = fuse_trace(trace)
-        assert one is two
-        stats = fusion_cache_stats()
-        assert stats["hits"] >= 1 and stats["misses"] >= 1
-
-    def test_adopt_sweeps_dead_entries(self):
-        """Artifact-only processes never hit the fuse_trace miss path,
-        so adoption itself must purge dead weak references."""
-        clear_fusion_cache()
-        clear_lowering_cache()
-        for seed in range(4):
-            res = compile_ffcl(random_dag(4, 20, 1, seed=seed), TINY)
-            art = ExecutableArtifact.from_bytes(
-                ExecutableArtifact.from_compile(res).to_bytes()
-            )
-            del res, art  # retire the workload entirely
-        gc.collect()
-        res = compile_ffcl(random_dag(4, 20, 1, seed=99), TINY)
-        keep = ExecutableArtifact.from_bytes(
-            ExecutableArtifact.from_compile(res).to_bytes()
-        )
-        assert fusion_cache_stats()["live_entries"] <= 2
-        assert lowering_cache_stats()["live_entries"] <= 2
-        assert keep.fused is not None
-
-    def test_adopt_prefers_live_canonical(self):
-        clear_fusion_cache()
-        g = random_dag(5, 30, 2, seed=7)
-        res = compile_ffcl(g, TINY)
-        trace = lower_program(res.program)
-        canonical = fuse_trace(trace)
-        foreign = fuse_trace(trace, cache=False)
-        assert adopt_fusion(foreign) is canonical
-
-    def test_engines_share_tables_and_kernels(self):
-        g = random_dag(5, 40, 2, seed=8)
-        res = compile_ffcl(g, TINY)
-        one = create_engine("fused", res.program)
-        two = create_engine("fused", res.program)
-        assert one.fused is two.fused
-        # compiled once, at the first engine's construction
-        assert one.fused.kernel is not None
-        assert ensure_kernel(one.fused) is one.fused.kernel
-        wide = random_stimulus(
-            res.program.graph, array_size=ROWWISE_MIN_WORDS, seed=0
-        )
-        one.run(wide)
-        stream = one.fused.native_cache["stream"]
-        two.run(wide)
-        assert pack_stream(two.fused) is stream
+def _stage_source(stage, program):
+    """The source object of ``stage``'s table over ``program``, and the
+    public call that derives the table from it."""
+    if stage == registry.LOWERING:
+        return program, lower_program
+    trace = lower_program(program)
+    if stage == registry.FUSION:
+        return trace, fuse_trace
+    return fuse_trace(trace), build_fanout
 
 
-# ----------------------------------------------------------------------
-class TestLoweringCacheConcurrency:
-    def test_threaded_lower_race_yields_one_lowering(self):
-        clear_lowering_cache()
-        g = random_dag(6, 60, 3, seed=21)
-        res = compile_ffcl(g, SMALL)
-        program = res.program
+class TestRegistry:
+    @pytest.mark.parametrize("stage", registry.STAGES)
+    def test_threaded_race_yields_one_table(self, stage):
+        res = compile_ffcl(random_dag(6, 60, 3, seed=21), SMALL)
+        source, derive = _stage_source(stage, res.program)
+        registry.clear(stage)
         workers = 8
         barrier = threading.Barrier(workers)
         results = [None] * workers
@@ -236,7 +189,7 @@ class TestLoweringCacheConcurrency:
         def race(index):
             try:
                 barrier.wait()
-                results[index] = lower_program(program)
+                results[index] = derive(source)
             except Exception as exc:  # noqa: BLE001 - surfaced below
                 errors.append(exc)
 
@@ -249,25 +202,105 @@ class TestLoweringCacheConcurrency:
             t.join()
         assert not errors
         assert all(r is results[0] for r in results)
-        stats = lowering_cache_stats()
-        # Racing misses may lower twice, but every call resolves to one
-        # shared artifact and every lookup is accounted for.
+        stats = registry.stats()[stage]
+        # Racing misses may derive twice, but every call resolves to one
+        # shared table and every lookup is accounted for.
         assert stats["hits"] + stats["misses"] == workers
         assert stats["misses"] >= 1
-        assert stats["live_entries"] == 1
+        assert stats["entries"] == 1
 
-    def test_miss_path_sweeps_dead_entries(self):
-        clear_lowering_cache()
-        for seed in range(4):
+    def test_writes_sweep_dead_entries(self):
+        """An artifact-only process adopts and never misses, so every
+        write to the registry purges the dead weak references."""
+        blobs = []
+        for seed in range(5):
             res = compile_ffcl(random_dag(4, 20, 1, seed=seed), TINY)
-            lower_program(res.program)
-            del res  # drop the only strong reference to the lowering
+            blobs.append(res.to_artifact(fanout=True).to_bytes())
+        del res
+        for stage in registry.STAGES:
+            registry.clear(stage)
+        for data in blobs[:-1]:
+            ExecutableArtifact.from_bytes(data)  # retired at once
         gc.collect()
-        res = compile_ffcl(random_dag(4, 20, 1, seed=99), TINY)
-        keep = lower_program(res.program)
-        # The fresh miss swept the dead weak references out.
-        assert lowering_cache_stats()["live_entries"] == 1
-        assert keep.program is res.program
+        keep = ExecutableArtifact.from_bytes(blobs[-1])
+        stats = registry.stats()
+        assert [stats[stage]["entries"] for stage in registry.STAGES] == [
+            1, 1, 1
+        ]
+        assert [stats[stage]["misses"] for stage in registry.STAGES] == [
+            0, 0, 0
+        ]
+        assert keep.fanout is not None
+
+    def test_live_table_wins_on_adopt(self):
+        res = compile_ffcl(random_dag(5, 30, 2, seed=7), TINY)
+        trace = lower_program(res.program)
+        canonical = fuse_trace(trace)
+        foreign = fuse_trace(trace, cache=False)
+        assert registry.adopt(registry.FUSION, trace, foreign) is canonical
+
+    def test_engines_share_tables_and_kernels(self):
+        g = random_dag(5, 40, 2, seed=8)
+        res = compile_ffcl(g, TINY)
+        one = create_engine("fused", res.program)
+        two = create_engine("fused", res.program)
+        assert one.fused is two.fused
+        # compiled once, at the first engine's construction
+        kernel = one.fused.executables["kernel"]
+        assert ensure_kernel(two.fused) is kernel
+        wide = random_stimulus(
+            res.program.graph, array_size=ROWWISE_MIN_WORDS, seed=0
+        )
+        one.run(wide)
+        stream = one.fused.executables["stream"]
+        two.run(wide)
+        assert pack_stream(two.fused) is stream
+
+    def test_artifact_boot_runs_embedded_tables_after_clear(self):
+        """A boot re-registers the artifact's tables, so clearing the
+        registry between decode and boot derives nothing."""
+        res = compile_ffcl(random_dag(5, 40, 2, seed=23), TINY)
+        loaded = ExecutableArtifact.from_bytes(
+            res.to_artifact(fanout=True).to_bytes()
+        )
+        assert lower_program(loaded.program) is loaded.trace
+        clear_lowering_cache()
+        clear_fusion_cache()
+        clear_fanout_cache()
+        engine = create_engine("delta", loaded)
+        stats = registry.stats()
+        assert [stats[stage]["misses"] for stage in registry.STAGES] == [
+            0, 0, 0
+        ]
+        assert engine.trace is loaded.trace
+        assert engine.fused is loaded.fused
+        assert engine.tables is loaded.fanout
+
+    def test_chain_freed_by_reference_counting(self):
+        """Nothing in the chain, its executables or the registry forms a
+        cycle: dropping the last consumer frees program, lowering,
+        fusion and fanout tables with the cyclic collector off."""
+        gc.collect()
+        gc.disable()
+        try:
+            res = compile_ffcl(random_dag(6, 60, 3, seed=24), SMALL)
+            graph = res.program.graph
+            delta = create_engine("delta", res.program)
+            fused = create_engine("fused", res.program)
+            delta.run(random_stimulus(graph, array_size=2, seed=0))
+            fused.run(random_stimulus(
+                graph, array_size=ROWWISE_MIN_WORDS, seed=1
+            ))
+            assert {"kernel", "stream"} <= set(fused.fused.executables)
+            refs = [
+                weakref.ref(table)
+                for table in (res.program, delta.trace, delta.fused,
+                              delta.tables)
+            ]
+            del res, graph, delta, fused
+            assert [ref() for ref in refs] == [None] * 4
+        finally:
+            gc.enable()
 
 
 # ----------------------------------------------------------------------
@@ -630,7 +663,8 @@ class TestRunComposedAllocation:
     def test_fragmented_allocation_bit_identical(self):
         res, tight = self._tight_fusion()
         graph = res.program.graph
-        engine = FusedEngine(res.program, fused=tight)
+        assert registry.adopt(registry.FUSION, tight.trace, tight) is tight
+        engine = FusedEngine(res.program)
         assert engine.fused is tight
         trace_engine = create_engine("trace", res.program)
         for array_size in (1, 3, ROWWISE_MIN_WORDS):

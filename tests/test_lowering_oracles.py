@@ -275,7 +275,7 @@ def test_snapshot_relatch_carries_the_register():
     trace = lower_program(program, cache=False)
     assert_same_trace(trace, lower_reference(program))
     stimulus = random_stimulus(graph, array_size=2, seed=1)
-    got = TraceEngine(program, trace).run(stimulus)
+    got = TraceEngine(program).run(stimulus)
     want = simulate(program, stimulus)
     assert np.array_equal(got.outputs["y"], stimulus["a"])
     assert np.array_equal(want.outputs["y"], stimulus["a"])

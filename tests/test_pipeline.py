@@ -98,6 +98,34 @@ class TestFormatNegotiation:
         assert isinstance(loaded, ArtifactBundle)
         assert loaded.fingerprint == bundle.fingerprint
 
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_load_unpacks_the_container_once(
+        self, bundle, version, monkeypatch
+    ):
+        from repro.artifact import bundle as bundle_module
+        from repro.artifact import codec as codec_module
+        from repro.artifact import format as format_module
+
+        if version == 1:
+            art = compile_ffcl(random_dag(4, 20, 2, seed=3), SMALL)
+            data = art.to_artifact().to_bytes()
+        else:
+            data = bundle.to_bytes()
+        unpacked = []
+        unpack = codec_module.unpack_container
+
+        def counting(blob):
+            unpacked.append(blob)
+            return unpack(blob)
+
+        for module in (codec_module, format_module, bundle_module):
+            if hasattr(module, "unpack_container"):
+                monkeypatch.setattr(module, "unpack_container", counting)
+        load_artifact_bytes(data)
+        # A bundle's members are containers of their own; the outer
+        # container is opened exactly once.
+        assert sum(blob is data for blob in unpacked) == 1
+
     def test_unknown_version_error_is_precise(self):
         art = compile_ffcl(random_dag(4, 20, 2, seed=2), SMALL).to_artifact()
         header, arrays = art._encode()

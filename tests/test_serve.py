@@ -31,7 +31,7 @@ from repro.core import (
     compile_ffcl,
     clear_lowering_cache,
     lower_program,
-    lowering_cache_stats,
+    registry,
 )
 from repro.engine import Session
 from repro.lpu import evaluate_graph, random_stimulus
@@ -202,7 +202,7 @@ class TestLoweringCache:
         first = lower_program(compiled.program)
         second = lower_program(compiled.program)
         assert first is second
-        stats = lowering_cache_stats()
+        stats = registry.stats()["lowering"]
         assert stats["hits"] >= 1 and stats["misses"] == 1
 
     def test_cache_false_forces_fresh(self, compiled):
@@ -217,7 +217,7 @@ class TestLoweringCache:
         ]
         traces = {id(s.engine.trace) for s in sessions}
         assert len(traces) == 1
-        assert lowering_cache_stats()["misses"] == 1
+        assert registry.stats()["lowering"]["misses"] == 1
 
     def test_lowered_tables_frozen(self, compiled):
         trace = lower_program(compiled.program)
@@ -746,7 +746,7 @@ class TestWorkerPool:
     def test_workers_share_one_lowering(self, compiled):
         clear_lowering_cache()
         with WorkerPool(compiled.program, num_workers=4):
-            assert lowering_cache_stats()["misses"] == 1
+            assert registry.stats()["lowering"]["misses"] == 1
 
     @pytest.mark.skipif(
         "fork" not in __import__("multiprocessing").get_all_start_methods(),

@@ -316,12 +316,12 @@ class TestWideFormIsLazy:
             dense = engine.tables.dense if name == "delta" else engine.fused
             narrow = random_stimulus(graph, array_size=4, seed=1)
             engine.run(narrow)
-            assert "stream" not in dense.native_cache, name
+            assert "stream" not in dense.executables, name
             wide = random_stimulus(  # two shards at the threshold
                 graph, array_size=2 * ROWWISE_MIN_WORDS, seed=2
             )
             out = engine.run(wide)
-            assert "stream" in dense.native_cache, name
+            assert "stream" in dense.executables, name
             for po, word in evaluate_graph(graph, wide).items():
                 assert np.array_equal(out.outputs[po], word), (name, po)
             if name == "native":
